@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemoStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
 	$(GO) test -run '^$$' -fuzz '^FuzzPackLoad$$' -fuzztime $(FUZZTIME) ./internal/memostore
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzOscillatorEdges$$' -fuzztime $(FUZZTIME) ./internal/clock
 
 # Record the full benchmark suite (with allocation stats) to a timestamped
 # JSON artifact for before/after comparison. Written to a temp file and

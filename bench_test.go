@@ -21,17 +21,17 @@ import (
 
 // withWarmMemoStore installs a fresh RW persistent memo store for a warm
 // benchmark and restores the previous process-wide store afterwards.
-func withWarmMemoStore(b *testing.B) {
-	b.Helper()
+func withWarmMemoStore(tb testing.TB) {
+	tb.Helper()
 	prev := memostore.Default()
-	s, err := memostore.Open(b.TempDir(), memostore.RW)
+	s, err := memostore.Open(tb.TempDir(), memostore.RW)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	memostore.SetDefault(s)
 	ResetPersistentMemos()
 	ResetPointCache()
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		memostore.SetDefault(prev)
 		ResetPersistentMemos()
 		ResetPointCache()

@@ -5,21 +5,28 @@
 //
 // Edge arithmetic is exact. An oscillator's true frequency is
 // nominal*(1+ppb/1e9) Hz, so the k-th rising edge after stabilization falls
-// at phase + floor(k * 1e21 / (nominal*(1e9+ppb))) picoseconds. The division
-// is done in big.Int so that multi-hour simulations (used by the 1 ppb
-// timer-drift property tests) accumulate no floating-point error.
+// at phase + floor(k * 1e21 / (nominal*(1e9+ppb))) picoseconds. The
+// arithmetic is exact integer math on 64-bit words (math/bits), so that
+// multi-hour simulations (used by the 1 ppb timer-drift property tests)
+// accumulate no floating-point error and edge queries never allocate. The
+// denominator nominal*(1e9+ppb) must fit in a uint64 (a 24 MHz crystal uses
+// about 2.4e16 of its 1.8e19 range); the 1e21 numerator is carried as
+// 1e12*1e9 so every intermediate fits in two or three words.
 package clock
 
 import (
 	"fmt"
-	"math/big"
+	"math/bits"
 
 	"odrips/internal/sim"
 )
 
-// psPerSecondTimesBillion is 1e12 ps/s * 1e9 (the ppb scale), i.e. the exact
-// numerator of the period rational.
-var psPerSecondTimesBillion = new(big.Int).Mul(big.NewInt(1e12), big.NewInt(1e9))
+// The period numerator 1e21 = 1e12 ps/s * 1e9 (the ppb scale), kept as its
+// two word-sized factors.
+const (
+	psPerSecond = 1_000_000_000_000
+	ppbScale    = 1_000_000_000
+)
 
 // Oscillator is a crystal oscillator. The zero value is not usable; use
 // NewOscillator. Oscillators start powered off.
@@ -32,7 +39,7 @@ type Oscillator struct {
 
 	on       bool
 	stableAt sim.Time // epoch of edge 0 for the current power-on period
-	denom    *big.Int // nominalHz * (1e9 + ppb)
+	denom    uint64   // nominalHz * (1e9 + ppb)
 
 	// OnPower, if non-nil, is invoked whenever the oscillator is switched
 	// on or off. The platform uses it to charge oscillator power.
@@ -46,21 +53,29 @@ func NewOscillator(sched *sim.Scheduler, name string, nominalHz uint64, ppb int6
 	if nominalHz == 0 {
 		panic("clock: oscillator with zero nominal frequency")
 	}
-	if ppb <= -1e9 {
-		panic(fmt.Sprintf("clock: oscillator %s ppb %d implies non-positive frequency", name, ppb))
-	}
-	o := &Oscillator{
+	return &Oscillator{
 		name:      name,
 		nominalHz: nominalHz,
 		ppb:       ppb,
 		startup:   startup,
 		sched:     sched,
+		denom:     periodDenom(name, nominalHz, ppb),
 	}
-	o.denom = new(big.Int).Mul(
-		new(big.Int).SetUint64(nominalHz),
-		big.NewInt(1_000_000_000+ppb),
-	)
-	return o
+}
+
+// periodDenom validates a frequency error and returns the period
+// denominator nominalHz*(1e9+ppb), panicking on a non-positive frequency or
+// a denominator wider than 64 bits.
+func periodDenom(name string, nominalHz uint64, ppb int64) uint64 {
+	if ppb <= -ppbScale {
+		panic(fmt.Sprintf("clock: oscillator %s ppb %d implies non-positive frequency", name, ppb))
+	}
+	// 1e9+ppb is positive and below 2^64, so the wrapping uint64 sum is exact.
+	hi, denom := bits.Mul64(nominalHz, uint64(ppb)+ppbScale)
+	if hi != 0 {
+		panic(fmt.Sprintf("clock: oscillator %s ppb %d: %d Hz * (1e9%+d) overflows 64 bits", name, ppb, nominalHz, ppb))
+	}
+	return denom
 }
 
 // Name returns the oscillator's label.
@@ -127,9 +142,7 @@ func (o *Oscillator) PowerOff() {
 // a retune; edges spanning the retune boundary are otherwise misattributed
 // to the new frequency.
 func (o *Oscillator) Retune(ppb int64) {
-	if ppb <= -1e9 {
-		panic(fmt.Sprintf("clock: oscillator %s retune ppb %d implies non-positive frequency", o.name, ppb))
-	}
+	denom := periodDenom(o.name, o.nominalHz, ppb)
 	if o.on && o.Stable() {
 		// Re-anchor at the most recent edge at or before now.
 		now := o.sched.Now()
@@ -141,24 +154,41 @@ func (o *Oscillator) Retune(ppb int64) {
 			o.stableAt = at
 		}
 	}
-	o.ppb = ppb
-	o.denom = new(big.Int).Mul(
-		new(big.Int).SetUint64(o.nominalHz),
-		big.NewInt(1_000_000_000+ppb),
-	)
+	o.ppb, o.denom = ppb, denom
 }
 
 // EdgeTime returns the instant of rising edge k (k=0 at stabilization) of
 // the current power-on period.
 func (o *Oscillator) EdgeTime(k uint64) sim.Time {
-	// offset = floor(k * 1e21 / denom)
-	n := new(big.Int).SetUint64(k)
-	n.Mul(n, psPerSecondTimesBillion)
-	n.Quo(n, o.denom)
-	if !n.IsInt64() {
+	// offset = floor(k * 1e12 * 1e9 / denom): a three-word product divided
+	// by one word, schoolbook style (each partial remainder is < denom, so
+	// every Div64 is in range).
+	hi, lo := bits.Mul64(k, psPerSecond)
+	c0, w0 := bits.Mul64(lo, ppbScale)
+	c1, w1 := bits.Mul64(hi, ppbScale)
+	w1, carry := bits.Add64(w1, c0, 0)
+	w2 := c1 + carry
+	q2, r := w2/o.denom, w2%o.denom
+	q1, r := bits.Div64(r, w1, o.denom)
+	q0, _ := bits.Div64(r, w0, o.denom)
+	if q2 != 0 || q1 != 0 || q0 > 1<<63-1 {
 		panic(fmt.Sprintf("clock: edge %d of %s overflows sim time", k, o.name))
 	}
-	return o.stableAt.Add(sim.Duration(n.Int64()))
+	return o.stableAt.Add(sim.Duration(q0))
+}
+
+// scaledPhase splits the exact edge position of an instant d picoseconds
+// after stabilization, d*denom/1e21, into its integer part q and the
+// residue d*denom mod 1e21 = r9*1e12 + r12 (r9 < 1e9, r12 < 1e12). With
+// d <= 2^63 and denom < 2^64 the product is below 2^127, so q < 2^58 and
+// every division below is in range.
+func (o *Oscillator) scaledPhase(d uint64) (q, r9, r12 uint64) {
+	hi, lo := bits.Mul64(d, o.denom)
+	// floor(floor(x/1e12)/1e9) = floor(x/1e21).
+	qhi, r := hi/psPerSecond, hi%psPerSecond
+	qlo, r12 := bits.Div64(r, lo, psPerSecond)
+	q, r9 = bits.Div64(qhi, qlo, ppbScale)
+	return q, r9, r12
 }
 
 // NextEdge returns the index and instant of the first rising edge at or
@@ -174,18 +204,11 @@ func (o *Oscillator) NextEdge(t sim.Time) (k uint64, at sim.Time, ok bool) {
 		return 0, o.stableAt, true
 	}
 	// k = ceil((t-stableAt) * denom / 1e21)
-	d := new(big.Int).SetInt64(int64(t.Sub(o.stableAt)))
-	d.Mul(d, o.denom)
-	rem := new(big.Int)
-	d.QuoRem(d, psPerSecondTimesBillion, rem)
-	if rem.Sign() != 0 {
-		d.Add(d, big.NewInt(1))
+	q, r9, r12 := o.scaledPhase(uint64(t.Sub(o.stableAt)))
+	if r9 != 0 || r12 != 0 {
+		q++
 	}
-	if !d.IsUint64() {
-		return 0, 0, false
-	}
-	k = d.Uint64()
-	return k, o.EdgeTime(k), true
+	return q, o.EdgeTime(q), true
 }
 
 // EdgesBetween returns the number of rising edges in the half-open interval
@@ -204,10 +227,8 @@ func (o *Oscillator) edgesUpTo(t sim.Time) uint64 {
 		return 0
 	}
 	// count = floor((t-stableAt) * denom / 1e21) + 1  (edge 0 at stableAt)
-	d := new(big.Int).SetInt64(int64(t.Sub(o.stableAt)))
-	d.Mul(d, o.denom)
-	d.Quo(d, psPerSecondTimesBillion)
-	return d.Uint64() + 1
+	q, _, _ := o.scaledPhase(uint64(t.Sub(o.stableAt)))
+	return q + 1
 }
 
 // PhaseFingerprint returns the oscillator's exact phase residue at t for
@@ -223,12 +244,10 @@ func (o *Oscillator) PhaseFingerprint(t sim.Time) (hi, lo uint64, neg bool) {
 	if d < 0 {
 		d, neg = -d, true
 	}
-	n := new(big.Int).SetInt64(int64(d))
-	n.Mul(n, o.denom)
-	n.Mod(n, psPerSecondTimesBillion)
-	lo = n.Uint64()
-	hi = n.Rsh(n, 64).Uint64()
-	return hi, lo, neg
+	_, r9, r12 := o.scaledPhase(uint64(d))
+	hi, lo = bits.Mul64(r9, psPerSecond)
+	lo, carry := bits.Add64(lo, r12, 0)
+	return hi + carry, lo, neg
 }
 
 // ReplayRebase re-anchors the edge grid at stableAt, for whole-cycle

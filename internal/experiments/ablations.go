@@ -60,7 +60,7 @@ func AblationMEECache() (*MEECacheAblation, error) {
 				return MEECacheRow{}, err
 			}
 			ws := eng.Stats()
-			cold, err := mee.ImportState(mem, eng.ExportState(), lines)
+			cold, err := mee.ImportState(mem, eng.ExportState(), lines, nil)
 			if err != nil {
 				return MEECacheRow{}, err
 			}

@@ -214,6 +214,76 @@ type device struct {
 	runClass  string
 }
 
+// classKeys computes the memo and run class keys of a job's devices once
+// per distinct perturbation tuple instead of once per device: a device's
+// configuration differs from the preset only in its output-inert seed and
+// its drift, so its memo class is a function of the drift alone, and its
+// run class of (drift, idle, fault plan) — the cycle count follows from the
+// idle period. Devices sharing a tuple share the key strings.
+type classKeys struct {
+	s    Spec
+	base platform.Config
+	memo map[int64]string
+	run  map[runTuple]string
+}
+
+type runTuple struct {
+	drift int64
+	idle  sim.Duration
+	plan  string
+}
+
+func newClassKeys(s Spec, base platform.Config) *classKeys {
+	return &classKeys{s: s, base: base, memo: make(map[int64]string), run: make(map[runTuple]string)}
+}
+
+// drift returns device i's slow-crystal error: the preset's plus its
+// spread entry.
+func (k *classKeys) drift(i int) int64 {
+	d := k.base.XtalSlowPPB
+	if n := len(k.s.Spread.DriftPPB); n > 0 {
+		d += k.s.Spread.DriftPPB[i%n]
+	}
+	return d
+}
+
+// memoClass returns platform.MemoClassKey of the preset at drift.
+func (k *classKeys) memoClass(drift int64) string {
+	key, ok := k.memo[drift]
+	if !ok {
+		cfg := k.base
+		cfg.XtalSlowPPB = drift
+		key = platform.MemoClassKey(cfg)
+		k.memo[drift] = key
+	}
+	return key
+}
+
+// runClass returns the run class of a device with the given tuple and
+// cycle count (a function of idle).
+func (k *classKeys) runClass(t runTuple, cycles int) string {
+	key, ok := k.run[t]
+	if !ok {
+		key = fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
+			k.memoClass(t.drift), int64(k.s.Active), int64(t.idle), cycles, t.plan)
+		k.run[t] = key
+	}
+	return key
+}
+
+// memoClassCount returns the number of distinct memo classes among the
+// job's devices without expanding them: drift entries cycle over the
+// device index, so the first min(Devices, len(DriftPPB)) devices already
+// cover every drift.
+func memoClassCount(s Spec, base platform.Config) int {
+	k := newClassKeys(s, base)
+	n := min(s.Devices, max(len(s.Spread.DriftPPB), 1))
+	for i := 0; i < n; i++ {
+		k.memoClass(k.drift(i))
+	}
+	return len(k.memo)
+}
+
 // expand deterministically materializes the per-device list from a
 // defaulted, validated spec. Devices are produced in index order; shard
 // assignment is the balanced contiguous split index*Shards/Devices.
@@ -229,15 +299,14 @@ func expand(s Spec) ([]device, error) {
 		}
 		plans[df.Device] = df.Plan
 	}
+	keys := newClassKeys(s, base)
 	devices := make([]device, s.Devices)
 	for i := range devices {
 		d := &devices[i]
 		d.index = i
 		d.cfg = base
 		d.cfg.Seed = s.Spread.SeedBase + int64(i)*s.Spread.SeedStride
-		if n := len(s.Spread.DriftPPB); n > 0 {
-			d.cfg.XtalSlowPPB += s.Spread.DriftPPB[i%n]
-		}
+		d.cfg.XtalSlowPPB = keys.drift(i)
 		d.idle = s.WakePeriod
 		if n := len(s.Spread.JitterSteps); n > 0 {
 			d.idle += s.Spread.JitterSteps[i%n]
@@ -257,9 +326,8 @@ func expand(s Spec) ([]device, error) {
 		d.planStr = plans[i]
 		d.shard = i * s.Shards / s.Devices
 
-		d.memoClass = platform.MemoClassKey(d.cfg)
-		d.runClass = fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
-			d.memoClass, int64(s.Active), int64(d.idle), d.cycles, d.planStr)
+		d.memoClass = keys.memoClass(d.cfg.XtalSlowPPB)
+		d.runClass = keys.runClass(runTuple{drift: d.cfg.XtalSlowPPB, idle: d.idle, plan: d.planStr}, d.cycles)
 	}
 	return devices, nil
 }

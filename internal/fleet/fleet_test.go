@@ -611,3 +611,57 @@ func TestFleetCancellation(t *testing.T) {
 		t.Error("run completed despite cancellation")
 	}
 }
+
+// TestClassKeysMatchPerDeviceDefinition pins the once-per-tuple class
+// keys to their per-device definition: the memo class is
+// platform.MemoClassKey of the device's own configuration, and the run
+// class adds the cycle shape, cycle count and fault plan.
+func TestClassKeysMatchPerDeviceDefinition(t *testing.T) {
+	s := mixedSpec()
+	s.Devices = 60
+	s.Spread.DriftPPB = []int64{0, 40, -25, 40, 90}
+	s.Spread.JitterSteps = append(s.Spread.JitterSteps, 7*sim.Second)
+	s.Spread.Faults = append(s.Spread.Faults, DeviceFaults{Device: 17, Plan: "wake@1.3"}, DeviceFaults{Device: 33, Plan: "drift@1:1000"})
+	s, err := s.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices, err := expand(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := map[string]bool{}
+	for _, d := range devices {
+		if want := platform.MemoClassKey(d.cfg); d.memoClass != want {
+			t.Fatalf("device %d: memo class %q, want %q", d.index, d.memoClass, want)
+		}
+		want := fmt.Sprintf("%s|active=%d|idle=%d|n=%d|plan=%s",
+			d.memoClass, int64(s.Active), int64(d.idle), d.cycles, d.planStr)
+		if d.runClass != want {
+			t.Fatalf("device %d: run class %q, want %q", d.index, d.runClass, want)
+		}
+		memo[d.memoClass] = true
+	}
+	if len(memo) != 4 {
+		t.Fatalf("%d memo classes, want 4 distinct drifts", len(memo))
+	}
+
+	// PlaneFor sizes the plane from the same keys without expanding: never
+	// below the job's memo classes, never below Spec.PlaneClasses.
+	for _, c := range []struct{ devices, planeClasses, want int }{
+		{60, 0, 4},
+		{60, 9, 9},
+		{3, 0, 3}, // only the first three drifts are in use
+	} {
+		s.Devices, s.PlaneClasses = c.devices, c.planeClasses
+		s.Spread.Faults = nil
+		s.Shards = 1
+		pl, err := PlaneFor(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.Stats().MaxClasses; got != c.want {
+			t.Fatalf("%d devices, plane classes %d: plane of %d classes, want %d", c.devices, c.planeClasses, got, c.want)
+		}
+	}
+}

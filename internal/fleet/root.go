@@ -49,17 +49,9 @@ func PlaneFor(s Spec, store *memostore.Store) (*platform.MemoPlane, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	devices, err := expand(s)
+	base, err := baseConfig(s.Preset)
 	if err != nil {
 		return nil, err
 	}
-	classes := make(map[string]bool, len(devices))
-	for _, d := range devices {
-		classes[d.memoClass] = true
-	}
-	n := s.PlaneClasses
-	if n < len(classes) {
-		n = len(classes)
-	}
-	return platform.NewMemoPlane(store, n), nil
+	return platform.NewMemoPlane(store, max(s.PlaneClasses, memoClassCount(s, base))), nil
 }

@@ -90,3 +90,23 @@ func TestContextRestoreAllocFree(t *testing.T) {
 		t.Fatalf("warm ReadRegionInto allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestReimportIntoSpareAllocFree locks in zero allocations for the restore
+// flow's re-import of the Boot-SRAM blob into the powered-down engine:
+// the tag is verified with the engine's own HMAC context and the cache is
+// cleared in place.
+func TestReimportIntoSpareAllocFree(t *testing.T) {
+	mem, e, _ := warmEngine(t, 3200)
+	blob := e.ExportState()
+	if n := testing.AllocsPerRun(20, func() {
+		got, err := ImportState(mem, blob, 32, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != e {
+			t.Fatal("matching spare was not reused")
+		}
+	}); n != 0 {
+		t.Fatalf("ImportState into a matching spare allocates %.1f/op, want 0", n)
+	}
+}

@@ -96,6 +96,9 @@ type Engine struct {
 	// engine field because slices of it escape through the hash.Hash
 	// interface, which would heap-allocate a per-call local.
 	victimBuf cacheLine
+	// stateMac is the HMAC under the master key that seals and verifies
+	// the Boot-SRAM state blob (state.go); keyed on first use.
+	stateMac macCtx
 
 	walk     writeWalk
 	readPath readWalk
@@ -148,6 +151,30 @@ func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCo
 	}
 	e.mac.init(macKey[:])
 	return e, nil
+}
+
+// coldStart re-initializes the engine in place to the state build leaves
+// it in over rootCounter: every line of the metadata cache invalid and its
+// counters zero, traffic counters zero, no sequential walk in flight, and
+// zeroed scratch. The region, key material, derived cipher and keyed MAC
+// contexts are kept. This is the power-on of a re-imported engine: the
+// cache was power-gated with the rest of the MEE, so it comes back cold.
+func (e *Engine) coldStart(rootCounter uint64) {
+	cache := e.cache
+	clear(cache.lines)
+	*cache = metaCache{lines: cache.lines}
+	*e = Engine{
+		mem:         e.mem,
+		layout:      e.layout,
+		masterKey:   e.masterKey,
+		aesBlock:    e.aesBlock,
+		macKey:      e.macKey,
+		rootCounter: rootCounter,
+		cache:       cache,
+		mac:         e.mac,
+		stateMac:    e.stateMac,
+		pathBuf:     e.pathBuf[:0],
+	}
 }
 
 // Layout returns the region layout.

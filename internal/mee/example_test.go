@@ -40,7 +40,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	cold, err := mee.ImportState(mem, sealed, mee.DefaultCacheLines)
+	cold, err := mee.ImportState(mem, sealed, mee.DefaultCacheLines, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestStatsGolden(t *testing.T) {
 		if got := eng.Stats(); got != g.save {
 			t.Errorf("blocks=%d lines=%d save stats drifted:\n got  %+v\n want %+v", g.blocks, g.lines, got, g.save)
 		}
-		cold, err := ImportState(mem, eng.ExportState(), g.lines)
+		cold, err := ImportState(mem, eng.ExportState(), g.lines, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func FuzzImportState(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		m := dram.New(dram.Skylake8GB())
-		e, err := ImportState(m, blob, 16)
+		e, err := ImportState(m, blob, 16, nil)
 		if err != nil {
 			return
 		}
@@ -87,7 +87,7 @@ func FuzzReadAfterCorruption(f *testing.F) {
 		if err := mem.Write(addr, raw); err != nil {
 			t.Fatal(err)
 		}
-		cold, err := ImportState(mem, e.ExportState(), 8)
+		cold, err := ImportState(mem, e.ExportState(), 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,9 +82,9 @@ func (m *macCtx) begin() {
 // write streams message bytes into the MAC.
 func (m *macCtx) write(p []byte) { m.inner.Write(p) }
 
-// finishTrunc completes the HMAC and returns the truncated macSize-byte
-// tag. The context is left ready for the next begin.
-func (m *macCtx) finishTrunc() (out [macSize]byte) {
+// finish completes the HMAC and returns the full tag. The context is left
+// ready for the next begin.
+func (m *macCtx) finish() [sha256.Size]byte {
 	isum := m.inner.Sum(m.sum[:0])
 	if m.outerU != nil {
 		_ = m.outerU.UnmarshalBinary(m.outerSeed) // verified at init
@@ -93,7 +93,14 @@ func (m *macCtx) finishTrunc() (out [macSize]byte) {
 		m.outer.Write(m.opad[:])
 	}
 	m.outer.Write(isum)
-	osum := m.outer.Sum(m.sum[:0]) // isum already consumed; reuse the buffer
-	copy(out[:], osum[:macSize])
+	m.outer.Sum(m.sum[:0]) // isum already consumed; reuse the buffer
+	return m.sum
+}
+
+// finishTrunc completes the HMAC and returns the truncated macSize-byte
+// tag. The context is left ready for the next begin.
+func (m *macCtx) finishTrunc() (out [macSize]byte) {
+	sum := m.finish()
+	copy(out[:], sum[:macSize])
 	return out
 }

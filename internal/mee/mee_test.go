@@ -156,7 +156,7 @@ func TestTamperMetadataDetected(t *testing.T) {
 	if err := mem.Write(addr, raw); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := ImportState(mem, e.ExportState(), 32)
+	e2, err := ImportState(mem, e.ExportState(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestStateRoundTripAcrossSelfRefresh(t *testing.T) {
 	if err := mem.SetState(dram.Active); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := ImportState(mem, state, 32)
+	e2, err := ImportState(mem, state, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +265,10 @@ func TestCorruptStateBlobRejected(t *testing.T) {
 	_, e := newEngine(t, 4)
 	state := e.ExportState()
 	state[10] ^= 1
-	if _, err := ImportState(dram.New(dram.Skylake8GB()), state, 32); err == nil {
+	if _, err := ImportState(dram.New(dram.Skylake8GB()), state, 32, nil); err == nil {
 		t.Fatal("corrupt state blob accepted")
 	}
-	if _, err := ImportState(dram.New(dram.Skylake8GB()), state[:10], 32); err == nil {
+	if _, err := ImportState(dram.New(dram.Skylake8GB()), state[:10], 32, nil); err == nil {
 		t.Fatal("truncated state blob accepted")
 	}
 }
@@ -317,7 +317,7 @@ func TestContextTrafficMatchesPaperScale(t *testing.T) {
 	}
 
 	// Cold restore.
-	e2, err := ImportState(mem, e.ExportState(), 32)
+	e2, err := ImportState(mem, e.ExportState(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestTamperAnywhereProperty(t *testing.T) {
 		if err := mem.Write(blockAddr, raw); err != nil {
 			return false
 		}
-		cold, err := ImportState(mem, e.ExportState(), 32)
+		cold, err := ImportState(mem, e.ExportState(), 32, nil)
 		if err != nil {
 			return false
 		}
@@ -503,7 +503,7 @@ func TestPowerCycleFuzzProperty(t *testing.T) {
 				if err := mem.SetState(dram.Active); err != nil {
 					return false
 				}
-				e, err = ImportState(mem, state, 16)
+				e, err = ImportState(mem, state, 16, nil)
 				if err != nil {
 					return false
 				}

@@ -1,7 +1,6 @@
 package mee
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -32,15 +31,39 @@ func (e *Engine) ExportState() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, e.rootCounter)
 	buf = binary.LittleEndian.AppendUint64(buf, e.layout.Base)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.layout.DataBlocks))
-	h := hmac.New(sha256.New, e.masterKey[:])
-	h.Write(buf)
-	return h.Sum(buf)
+	tag := stateTag(e.stateMAC(), buf)
+	return append(buf, tag[:]...)
+}
+
+// stateMAC returns the engine's HMAC context under its master key, keying
+// it on first use.
+func (e *Engine) stateMAC() *macCtx {
+	if e.stateMac.inner == nil {
+		e.stateMac.init(e.masterKey[:])
+	}
+	return &e.stateMac
+}
+
+// stateTag computes the HMAC-SHA-256 integrity tag of a state blob body.
+func stateTag(m *macCtx, body []byte) [sha256.Size]byte {
+	m.begin()
+	m.write(body)
+	return m.finish()
 }
 
 // ImportState reconstructs an engine from a state blob over the same
 // memory module, with a cold cache. The master key embedded in the blob
 // must produce a matching integrity tag.
-func ImportState(mem *dram.Module, blob []byte, cacheLines int) (*Engine, error) {
+//
+// spare, when non-nil, is a powered-down engine (typically the one whose
+// ExportState produced the blob) that the import may re-initialize in
+// place instead of building a new one: it is reused when its memory
+// module, master key, region layout and cache size all match the import,
+// and left untouched otherwise. A reused engine is indistinguishable from
+// a freshly built one — cold cache, zero traffic counters, no walk in
+// flight, root counter from the blob — and the import then performs no
+// allocations. The integrity check runs on both paths.
+func ImportState(mem *dram.Module, blob []byte, cacheLines int, spare *Engine) (*Engine, error) {
 	if len(blob) != StateSize {
 		return nil, fmt.Errorf("mee: state blob size %d, want %d", len(blob), StateSize)
 	}
@@ -49,14 +72,29 @@ func ImportState(mem *dram.Module, blob []byte, cacheLines int) (*Engine, error)
 	}
 	var key [32]byte
 	copy(key[:], blob[8:40])
-	h := hmac.New(sha256.New, key[:])
-	h.Write(blob[:StateSize-32])
-	if subtle.ConstantTimeCompare(h.Sum(nil), blob[StateSize-32:]) != 1 {
-		return nil, fmt.Errorf("mee: state blob integrity check failed")
-	}
 	rootCounter := binary.LittleEndian.Uint64(blob[40:48])
 	base := binary.LittleEndian.Uint64(blob[48:56])
 	dataBlocks := int(binary.LittleEndian.Uint64(blob[56:64]))
+
+	reuse := spare != nil && spare.mem == mem && spare.masterKey == key &&
+		len(spare.cache.lines) == max(cacheLines, 1)
+	var mac *macCtx
+	if reuse {
+		mac = spare.stateMAC()
+	} else {
+		mac = new(macCtx)
+		mac.init(key[:])
+	}
+	tag := stateTag(mac, blob[:StateSize-32])
+	if subtle.ConstantTimeCompare(tag[:], blob[StateSize-32:]) != 1 {
+		return nil, fmt.Errorf("mee: state blob integrity check failed")
+	}
+	if reuse && spare.layout.Base == base && spare.layout.DataBlocks == dataBlocks {
+		// The layout is a pure function of (base, dataBlocks), so the
+		// spare's own is the one PlanLayout would produce.
+		spare.coldStart(rootCounter)
+		return spare, nil
+	}
 	layout, err := PlanLayout(base, dataBlocks)
 	if err != nil {
 		return nil, err

@@ -111,6 +111,7 @@ var ffExcluded = map[string]string{
 	"platform.Platform.rr":              "immutable after lock at New (sgx range registers)",
 	"platform.Platform.ctxRegion":       "immutable protected-region bounds",
 	"platform.Platform.meeKey":          "immutable key material",
+	"platform.Platform.meeSpare":        "output-invariant: only selects re-import in place vs. a fresh build, which mee pins as indistinguishable; consumed by the restore, so nil at boundaries",
 	"platform.Platform.ctx":             "immutable architectural context (seed-derived at New)",
 	"platform.Platform.ctxImage":        "immutable serialized context bytes",
 	"platform.Platform.ctxHash":         "immutable digest of ctxImage",
@@ -251,6 +252,7 @@ var ffExcluded = map[string]string{
 	"mee.Engine.cache":       "deterministic function of the op history from canonical state; rebuilt exactly by ReplayMaterialize/ReplayWarm before any real op",
 	"mee.Engine.stats":       "diagnostics, not part of Result",
 	"mee.Engine.mac":         "dead: per-op scratch",
+	"mee.Engine.stateMac":    "keyed by the immutable master key; its digests are per-op scratch",
 	"mee.Engine.u64Buf":      "dead: per-op scratch",
 	"mee.Engine.ctrBuf":      "dead: per-op scratch",
 	"mee.Engine.ksBuf":       "dead: per-op scratch",

@@ -304,8 +304,10 @@ func (p *Platform) ctxSaveStep() step {
 			p.flowStats.ctxSaveLat = lat
 			p.sched.After(lat+bud.BootFSMLatency, "flow.save-ctx-dram", func() {
 				// The MEE, with its key and root counter, powers down;
-				// only the Boot SRAM retains state on-chip.
-				p.eng = nil
+				// only the Boot SRAM retains state on-chip. The dead
+				// engine object is kept so the restore can re-import the
+				// blob into it instead of building a new one.
+				p.meeSpare, p.eng = p.eng, nil
 				p.saSRAM.SetState(sram.Off)
 				p.computeSRAM.SetState(sram.Off)
 				p.bootSRAM.SetState(sram.Retention)
@@ -561,7 +563,8 @@ func (p *Platform) ctxRestoreSteps() []step {
 				p.fail("platform: boot image restore: %v", err)
 				return
 			}
-			eng, err := mee.ImportState(p.mem, boot.MEEState, mee.DefaultCacheLines)
+			eng, err := mee.ImportState(p.mem, boot.MEEState, mee.DefaultCacheLines, p.meeSpare)
+			p.meeSpare = nil
 			if err != nil {
 				p.fail("platform: MEE restore: %v", err)
 				return

@@ -64,6 +64,7 @@ type Platform struct {
 	ctxRegion   sgx.Range
 	meeKey      [32]byte
 	eng         *mee.Engine
+	meeSpare    *mee.Engine // powered-down engine awaiting re-import (save → restore)
 	ctx         *ctxstore.Context
 	ctxImage    []byte
 	ctxHash     [32]byte

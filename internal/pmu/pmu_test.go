@@ -163,7 +163,7 @@ func TestDRAMTargetLatenciesMatchPaper(t *testing.T) {
 		t.Fatalf("DRAM context save latency = %.1f us, want ~18", us)
 	}
 	// Cold engine restore (as after DRIPS).
-	cold, err := mee.ImportState(mem, eng.ExportState(), mee.DefaultCacheLines)
+	cold, err := mee.ImportState(mem, eng.ExportState(), mee.DefaultCacheLines, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
