@@ -4,6 +4,17 @@
 // millisecond-scale DRIPS exit latencies — each device's buffer headroom is
 // what it reports through LTR, and a buffer high-water mark is what fires
 // an external wake through the chipset.
+//
+// Peripheral-event contract: a device model schedules its own traffic with
+// sim.Scheduler.AfterPeripheral, and every such callback touches only the
+// device's own state, the LTR table and GPIO, plus the host's public
+// Active/Wake surface. It never touches DRAM, the MEE or a context image,
+// and the events it schedules itself are peripheral too (a Wake may start
+// the platform's exit flow, but that is the platform's own work). The
+// platform's fast-forward engine keeps replaying MEE save/restore
+// operations while only peripheral events are queued (DESIGN.md §12); a
+// callback that broke the contract could observe DRAM bytes the replay
+// left stale.
 package device
 
 import (
@@ -112,7 +123,7 @@ func (n *NIC) scheduleNext() {
 	if gap < 1e-9 {
 		gap = 1e-9
 	}
-	n.sched.After(sim.FromSeconds(gap), "device."+n.name+".rx", n.arrival)
+	n.sched.AfterPeripheral(sim.FromSeconds(gap), "device."+n.name+".rx", n.arrival)
 }
 
 func (n *NIC) arrival() {
@@ -161,9 +172,9 @@ func (n *NIC) awaitDrain() {
 			n.reportLTR()
 			return
 		}
-		n.sched.After(100*sim.Microsecond, "device."+n.name+".drain", poll)
+		n.sched.AfterPeripheral(100*sim.Microsecond, "device."+n.name+".drain", poll)
 	}
-	n.sched.After(100*sim.Microsecond, "device."+n.name+".drain", poll)
+	n.sched.AfterPeripheral(100*sim.Microsecond, "device."+n.name+".drain", poll)
 }
 
 // reportLTR publishes the time-to-overflow of the remaining headroom: how

@@ -102,6 +102,30 @@ func TestNICLTRTracksHeadroom(t *testing.T) {
 	}
 }
 
+// Every event the NIC schedules — RX arrivals and the post-wake drain
+// poll — is a peripheral event (the package's contract with the platform's
+// MEE op replay).
+func TestNICEventsArePeripheral(t *testing.T) {
+	s, tbl, h := bench(t)
+	n, err := NewNIC(s, tbl, h, NICConfig{RateKBps: 1000, PacketBytes: 1500, BufferBytes: 16 << 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	for s.Now() < sim.Time(sim.Second) && s.Step() {
+		if s.Pending() != s.PeripheralPending() {
+			t.Fatalf("at %v: %d events queued, only %d peripheral", s.Now(), s.Pending(), s.PeripheralPending())
+		}
+		// The host sleeps until the NIC has raised a few wakes, so the
+		// drain poll runs both while asleep and once awake.
+		h.active = h.wakes >= 3
+	}
+	if _, wakes, _ := n.Stats(); wakes < 3 {
+		t.Fatalf("NIC raised %d wakes, want at least 3", wakes)
+	}
+	n.Stop()
+}
+
 func TestNICOverflowAccounting(t *testing.T) {
 	s, tbl, h := bench(t)
 	h.active = false

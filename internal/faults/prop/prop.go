@@ -12,6 +12,10 @@
 //     power <= the same configuration with the off-chip context store
 //     stripped.
 //
+// The fast-forward metamorphic test additionally attaches a NIC to some
+// cases (WithNIC), so faulted, device-driven runs are compared across
+// every -fastforward mode.
+//
 // A failing case shrinks to a minimal fault plan before being reported, so
 // a reproducer is one short -faults string plus the logged seed.
 package prop
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"odrips/internal/device"
 	"odrips/internal/faults"
 	"odrips/internal/platform"
 	"odrips/internal/sim"
@@ -33,12 +38,33 @@ type Case struct {
 	Config platform.Config
 	Cycles []workload.Cycle
 	Plan   faults.Plan
+	// NIC, when set, attaches a NIC whose coalesced RX wakes race the
+	// workload's own wakes (a device-driven run).
+	NIC *device.NICConfig
 }
 
 // String renders the case compactly for failure reports.
 func (c Case) String() string {
-	return fmt.Sprintf("seed=%d techniques=%v emram=%v cycles=%d plan=%q",
+	s := fmt.Sprintf("seed=%d techniques=%v emram=%v cycles=%d plan=%q",
 		c.Seed, c.Config.Techniques, c.Config.CtxInEMRAM, len(c.Cycles), c.Plan.String())
+	if c.NIC != nil {
+		s += fmt.Sprintf(" nic=%gKB/s,%dB,seed=%d", c.NIC.RateKBps, c.NIC.BufferBytes, c.NIC.Seed)
+	}
+	return s
+}
+
+// WithNIC returns c with a randomly drawn NIC attached. Its ingress rate
+// fills the high-water mark within tens of milliseconds, so its wakes land
+// inside the generated 20-140 ms idle windows.
+func WithNIC(c Case, rng *rand.Rand) Case {
+	c.NIC = &device.NICConfig{
+		Name:        "nic",
+		RateKBps:    []float64{200, 400, 800}[rng.Intn(3)],
+		PacketBytes: 1500,
+		BufferBytes: 16 << 10,
+		Seed:        rng.Int63(),
+	}
+	return c
 }
 
 // techniqueMenu holds the valid technique combinations Generate draws from
@@ -102,53 +128,53 @@ func (o Outcome) TotalJ() float64 {
 // from c.Plan — the shrinker and the baseline comparisons substitute their
 // own).
 func Run(c Case, plan faults.Plan) (Outcome, error) {
-	p, err := platform.New(c.Config)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if err := p.InjectFaults(plan); err != nil {
-		return Outcome{}, err
-	}
-	res, err := p.RunCycles(c.Cycles)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Result: res, Trace: p.FlowTrace(), Degraded: p.Degraded()}, nil
+	out, _, err := run(c, &plan, platform.DefaultFastForward())
+	return out, err
 }
 
 // RunMode executes the case with the plan installed and an explicit
 // fast-forward mode — the two sides of the fast-forward metamorphic
-// invariant (results must be byte-identical at every mode).
-func RunMode(c Case, plan faults.Plan, mode platform.FFMode) (Outcome, error) {
-	p, err := platform.New(c.Config)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if err := p.SetFastForward(mode); err != nil {
-		return Outcome{}, err
-	}
-	if err := p.InjectFaults(plan); err != nil {
-		return Outcome{}, err
-	}
-	res, err := p.RunCycles(c.Cycles)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Result: res, Trace: p.FlowTrace(), Degraded: p.Degraded()}, nil
+// invariant (results must be byte-identical at every mode). It also
+// returns the engine's counters, which legitimately differ across modes.
+func RunMode(c Case, plan faults.Plan, mode platform.FFMode) (Outcome, platform.FFStats, error) {
+	return run(c, &plan, mode)
 }
 
 // RunBare executes the case with no fault plane installed at all — the
 // reference side of the empty-plan-is-inert invariant.
 func RunBare(c Case) (Outcome, error) {
+	out, _, err := run(c, nil, platform.DefaultFastForward())
+	return out, err
+}
+
+// run builds the case's platform (attaching its NIC, if any), installs
+// plan unless it is nil, and runs the workload.
+func run(c Case, plan *faults.Plan, mode platform.FFMode) (Outcome, platform.FFStats, error) {
 	p, err := platform.New(c.Config)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, platform.FFStats{}, err
+	}
+	if err := p.SetFastForward(mode); err != nil {
+		return Outcome{}, platform.FFStats{}, err
+	}
+	if c.NIC != nil {
+		nic, err := device.NewNIC(p.Scheduler(), p.LTR(), p, *c.NIC)
+		if err != nil {
+			return Outcome{}, platform.FFStats{}, err
+		}
+		nic.Start()
+		p.OnQuiesce(nic.Stop)
+	}
+	if plan != nil {
+		if err := p.InjectFaults(*plan); err != nil {
+			return Outcome{}, platform.FFStats{}, err
+		}
 	}
 	res, err := p.RunCycles(c.Cycles)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, platform.FFStats{}, err
 	}
-	return Outcome{Result: res, Trace: p.FlowTrace(), Degraded: p.Degraded()}, nil
+	return Outcome{Result: res, Trace: p.FlowTrace(), Degraded: p.Degraded()}, p.FFStats(), nil
 }
 
 // floorConfig strips the off-chip context store: the configuration a

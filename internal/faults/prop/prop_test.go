@@ -104,17 +104,26 @@ func TestShrinkFindsMinimalPlan(t *testing.T) {
 // for generated faulted cases, the run is byte-identical with the cycle
 // memo on, off, and in verify mode (verify additionally re-simulates and
 // diffs every memoized cycle, so a pass is a machine-checked soundness
-// certificate for the case).
+// certificate for the case). Every other case is device-driven: a NIC's
+// peripheral events stay queued, so only MEE op replay can engage, and
+// only once the fault plane is clean — a run that never reached one of
+// its injections must not have replayed a single op.
 func TestFastForwardMetamorphic(t *testing.T) {
 	rng := rand.New(rand.NewSource(*propSeed + 3))
+	nicRng := rand.New(rand.NewSource(*propSeed + 4))
+	var nicCases, nicReplayed int
 	for i := 0; i < 30; i++ {
 		c := Generate(rng)
-		off, err := RunMode(c, c.Plan, platform.FFOff)
+		if i%2 == 1 {
+			c = WithNIC(c, nicRng)
+			nicCases++
+		}
+		off, _, err := RunMode(c, c.Plan, platform.FFOff)
 		if err != nil {
 			t.Fatalf("case %d (%s) off: %v", i, c, err)
 		}
 		for _, mode := range []platform.FFMode{platform.FFOn, platform.FFVerify} {
-			got, err := RunMode(c, c.Plan, mode)
+			got, stats, err := RunMode(c, c.Plan, mode)
 			if err != nil {
 				t.Fatalf("case %d (%s) %v: %v", i, c, mode, err)
 			}
@@ -122,7 +131,27 @@ func TestFastForwardMetamorphic(t *testing.T) {
 				t.Fatalf("case %d (%s) diverged at -fastforward=%v:\noff: %+v\ngot: %+v",
 					i, c, mode, off.Result, got.Result)
 			}
+			if mode != platform.FFOn {
+				continue
+			}
+			if st := got.Result.Faults; st.Fired+st.Skipped < st.Planned && stats.MEEOpsReplayed > 0 {
+				t.Fatalf("case %d (%s): %d MEE ops replayed with an injection never reached (%+v)",
+					i, c, stats.MEEOpsReplayed, st)
+			}
+			if c.NIC != nil {
+				if stats.CyclesReplayed != 0 {
+					t.Fatalf("case %d (%s): replayed %d whole cycles with device traffic queued",
+						i, c, stats.CyclesReplayed)
+				}
+				if stats.MEEOpsReplayed > 0 {
+					nicReplayed++
+				}
+			}
 		}
+	}
+	t.Logf("%d device-driven cases, %d replayed MEE ops", nicCases, nicReplayed)
+	if nicReplayed == 0 {
+		t.Error("no device-driven case exercised MEE op replay")
 	}
 }
 

@@ -29,11 +29,22 @@ import (
 //     (energy, residency, latencies, counters, flow-trace steps) over a
 //     bulk scheduler time advance.
 //
-// Both layers are gated per cycle: a cycle may only record or replay when
-// the fault plane has nothing left to inject and the event queue is empty
-// at the boundary (so no external event can observe or mutate skipped
-// state mid-cycle). Every replayed quantity is integer/fixed-point exact,
-// so results are byte-identical to full simulation.
+// Both layers are gated per cycle on a clean fault plane (nothing left to
+// inject), and each on what may be queued at the boundary:
+//
+//   - MEE op replay needs no *foreign* event pending. Events a device
+//     model schedules with sim.Scheduler.AfterPeripheral touch only device
+//     state, LTR and GPIO (the internal/device contract), so they cannot
+//     observe the DRAM bytes or engine state a replayed op leaves stale.
+//     Anything else — a tamper through Mem(), an analyzer ticker, a fault
+//     event — keeps the cycle's ops real.
+//
+//   - Cycle replay needs an empty queue: a skipped cycle has no events to
+//     dispatch, and device arrivals drawn from math/rand never let a
+//     whole-cycle fingerprint recur anyway.
+//
+// Every replayed quantity is integer/fixed-point exact, so results are
+// byte-identical to full simulation.
 
 // FFMode selects the fast-forward engine's behavior.
 type FFMode int32
@@ -184,11 +195,13 @@ func (p *Platform) ffFaultsClean() bool {
 }
 
 // ffLatchCycle latches, at a cycle boundary, whether the upcoming cycle
-// may use the memo. The queue must be empty: a pending event (a device
-// model's ticker, an externally scheduled mutation) could observe or
-// modify state mid-cycle, so such cycles always run in full.
+// may record or replay MEE ops. Only peripheral events may be pending: a
+// foreign one (an externally scheduled mutation, an analyzer ticker)
+// could read or write the context region mid-cycle, so such cycles run
+// their ops in full. Whole-cycle replay keeps the stricter empty-queue
+// gate of ffCycleEligible.
 func (p *Platform) ffLatchCycle() {
-	p.ff.cycleOK = p.ff.mode != FFOff && p.sched.Pending() == 0 && p.ffFaultsClean()
+	p.ff.cycleOK = p.ff.mode != FFOff && p.sched.Pending() == p.sched.PeripheralPending() && p.ffFaultsClean()
 }
 
 // ffRealize rebuilds canonical MEE state before a real engine operation:

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"odrips/internal/device"
+	"odrips/internal/dram"
+	"odrips/internal/power"
 	"odrips/internal/sim"
 	"odrips/internal/workload"
 )
@@ -120,6 +123,156 @@ func TestCycleReplayJitteredIdle(t *testing.T) {
 	if statsOn.MEEOpsReplayed == 0 {
 		t.Errorf("MEE op replay never engaged")
 	}
+}
+
+// runNICDriven is runWithMode for a device-driven platform: a NIC whose
+// coalesced RX wakes usually end the idle period before the OS timer, plus
+// an optional hook that schedules extra events before the run. The run's
+// error is returned rather than fatal, so callers can compare failures.
+func runNICDriven(t *testing.T, mode FFMode, cycles []workload.Cycle, hook func(*Platform)) (Result, []FlowStep, FFStats, error) {
+	t.Helper()
+	p, err := New(ODRIPSConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := p.SetFastForward(mode); err != nil {
+		t.Fatalf("SetFastForward: %v", err)
+	}
+	nic, err := device.NewNIC(p.Scheduler(), p.LTR(), p, device.NICConfig{
+		Name: "nic", RateKBps: 20, PacketBytes: 1500, BufferBytes: 64 << 10, Seed: 11,
+	})
+	if err != nil {
+		t.Fatalf("NewNIC: %v", err)
+	}
+	nic.Start()
+	p.OnQuiesce(nic.Stop)
+	if hook != nil {
+		hook(p)
+	}
+	res, err := p.RunCycles(cycles)
+	return res, p.FlowTrace(), p.FFStats(), err
+}
+
+// TestMEEReplayNICDriven: with only the NIC's peripheral events queued,
+// the MEE op memo engages while whole-cycle replay stays off, and the run
+// is byte-identical at every mode (verify diffs each canonical op).
+func TestMEEReplayNICDriven(t *testing.T) {
+	cycles := workload.Fixed(12, 0, 30*sim.Second)
+	resOff, traceOff, statsOff, err := runNICDriven(t, FFOff, cycles, nil)
+	if err != nil {
+		t.Fatalf("off: %v", err)
+	}
+	if resOff.WakeCounts["external"] == 0 {
+		t.Fatalf("the NIC never woke the platform: %v", resOff.WakeCounts)
+	}
+	if statsOff != (FFStats{}) {
+		t.Errorf("off mode touched the memo: %+v", statsOff)
+	}
+	for _, mode := range []FFMode{FFOn, FFVerify} {
+		res, trace, stats, err := runNICDriven(t, mode, cycles, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !reflect.DeepEqual(resOff, res) {
+			t.Errorf("%v: Result diverged:\noff: %+v\ngot: %+v", mode, resOff, res)
+		}
+		if !reflect.DeepEqual(traceOff, trace) {
+			t.Errorf("%v: FlowTrace diverged", mode)
+		}
+		if stats.CyclesReplayed != 0 {
+			t.Errorf("%v: replayed %d whole cycles with device traffic queued", mode, stats.CyclesReplayed)
+		}
+		if mode == FFOn && stats.MEEOpsReplayed == 0 {
+			t.Errorf("MEE op replay never engaged on a NIC-driven run: %+v", stats)
+		}
+	}
+}
+
+// TestForeignEventBlocksMEEReplay: an untagged event queued next to the
+// NIC's traffic is foreign, so no MEE op replays until it has fired. The
+// observer variant shows replay resuming afterwards; the tamper variant
+// corrupts the context region through Mem() mid-run, and the restore must
+// catch it identically at every mode (a replayed restore would not read
+// DRAM at all).
+func TestForeignEventBlocksMEEReplay(t *testing.T) {
+	cycles := workload.Fixed(12, 0, 30*sim.Second)
+	strike := func(tamper bool, replayedAt *uint64) func(*Platform) {
+		return func(p *Platform) {
+			start := p.Scheduler().Now().Add(10 * sim.Second) // several NIC-driven cycles in
+			var fn func()
+			fn = func() {
+				// Act only while the context sits in self-refreshed DRAM.
+				if p.state != power.Idle {
+					if p.Scheduler().Now().Sub(start) > 10*sim.Second {
+						t.Errorf("platform never idle after %v", start)
+						return
+					}
+					p.Scheduler().After(sim.Millisecond, "test.foreign", fn)
+					return
+				}
+				*replayedAt = p.FFStats().MEEOpsReplayed
+				if !tamper {
+					return
+				}
+				mem := p.Mem()
+				addr := p.CtxRegion().Base + 17*dram.BlockSize
+				err := mem.SetState(dram.Active)
+				var blk []byte
+				if err == nil {
+					blk, err = mem.Read(addr, dram.BlockSize)
+				}
+				if err == nil {
+					blk[0] ^= 0x01
+					err = mem.Write(addr, blk)
+				}
+				if err == nil {
+					err = mem.SetState(dram.SelfRefresh)
+				}
+				if err != nil {
+					t.Errorf("tamper: %v", err)
+				}
+			}
+			p.Scheduler().At(start, "test.foreign", fn)
+		}
+	}
+
+	t.Run("observer", func(t *testing.T) {
+		var atOff, atOn uint64
+		resOff, traceOff, _, err := runNICDriven(t, FFOff, cycles, strike(false, &atOff))
+		if err != nil {
+			t.Fatalf("off: %v", err)
+		}
+		resOn, traceOn, statsOn, err := runNICDriven(t, FFOn, cycles, strike(false, &atOn))
+		if err != nil {
+			t.Fatalf("on: %v", err)
+		}
+		if !reflect.DeepEqual(resOff, resOn) || !reflect.DeepEqual(traceOff, traceOn) {
+			t.Errorf("observer run diverged between off and on")
+		}
+		if atOn != 0 {
+			t.Errorf("%d MEE ops replayed while a foreign event was pending", atOn)
+		}
+		if statsOn.MEEOpsReplayed == 0 {
+			t.Errorf("MEE op replay did not resume after the foreign event fired")
+		}
+	})
+
+	t.Run("tamper", func(t *testing.T) {
+		var at uint64
+		_, _, _, errOff := runNICDriven(t, FFOff, cycles, strike(true, &at))
+		if errOff == nil {
+			t.Fatal("off: tampered context restored without error")
+		}
+		for _, mode := range []FFMode{FFOn, FFVerify} {
+			_, _, stats, err := runNICDriven(t, mode, cycles, strike(true, &at))
+			if err == nil || err.Error() != errOff.Error() {
+				t.Errorf("%v: error %v, want the off-mode detection %q", mode, err, errOff)
+			}
+			if stats.MEEOpsReplayed != 0 {
+				t.Errorf("%v: %d MEE ops replayed across the tamper window", mode, stats.MEEOpsReplayed)
+			}
+		}
+	})
 }
 
 // TestCycleReplayShallowCycles replays cycles that park in a shallow

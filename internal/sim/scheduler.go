@@ -5,8 +5,8 @@ import "fmt"
 // Event is a handle to a scheduled callback. Events are one-shot: once
 // fired or cancelled the handle goes stale and every method degrades to an
 // inert answer (Pending reports false, Cancel is a no-op). The zero value
-// is a valid stale handle. Obtain live handles from Scheduler.At or
-// Scheduler.After.
+// is a valid stale handle. Obtain live handles from Scheduler.At,
+// Scheduler.After or Scheduler.AfterPeripheral.
 //
 // Internally the scheduler recycles event storage through a free list; a
 // generation counter in the handle detects reuse, so holding a handle past
@@ -58,13 +58,14 @@ func (e Event) Name() string {
 // live in a slab indexed by Event.slot; gen increments on every free so
 // stale handles miscompare and read as inert.
 type eventSlot struct {
-	fn       func()
-	name     string
-	when     Time
-	seq      uint64
-	gen      uint32
-	heapIdx  int32 // position in Scheduler.heap, -1 when not queued
-	nextFree int32 // free-list link, meaningful only while free
+	fn         func()
+	name       string
+	when       Time
+	seq        uint64
+	gen        uint32
+	heapIdx    int32 // position in Scheduler.heap, -1 when not queued
+	nextFree   int32 // free-list link, meaningful only while free
+	peripheral bool  // scheduled by AfterPeripheral; cleared on free
 }
 
 // heapEntry is one element of the inlined 4-ary min-heap. The ordering key
@@ -94,6 +95,8 @@ type Scheduler struct {
 	freeHead int32
 	seq      uint64
 	fired    uint64
+	// periph counts queued slots with the peripheral flag set.
+	periph int
 }
 
 // NewScheduler returns a scheduler positioned at the epoch.
@@ -108,6 +111,11 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
+// PeripheralPending returns how many of the queued events were scheduled
+// with AfterPeripheral. Pending() == PeripheralPending() means nothing but
+// peripheral events is queued.
+func (s *Scheduler) PeripheralPending() int { return s.periph }
+
 func (s *Scheduler) allocSlot() int32 {
 	if s.freeHead >= 0 {
 		i := s.freeHead
@@ -120,6 +128,10 @@ func (s *Scheduler) allocSlot() int32 {
 
 func (s *Scheduler) freeSlot(i int32) {
 	sl := &s.slots[i]
+	if sl.peripheral {
+		sl.peripheral = false
+		s.periph--
+	}
 	sl.fn = nil
 	sl.name = ""
 	sl.gen++
@@ -152,6 +164,19 @@ func (s *Scheduler) After(d Duration, name string, fn func()) Event {
 		panic(fmt.Sprintf("sim: scheduling %q with negative delay %v", name, d))
 	}
 	return s.At(s.now.Add(d), name, fn)
+}
+
+// AfterPeripheral is After for a peripheral device model's own events. By
+// scheduling through it the caller promises that fn touches only the
+// device's own state, the LTR table and GPIO, plus the host's public
+// wake/activity surface — never DRAM, the MEE or a context image. The
+// platform's fast-forward engine relies on that promise to keep replaying
+// MEE operations while such events are queued.
+func (s *Scheduler) AfterPeripheral(d Duration, name string, fn func()) Event {
+	e := s.After(d, name, fn)
+	s.slots[e.slot].peripheral = true
+	s.periph++
+	return e
 }
 
 // Cancel removes a pending event and recycles its slot immediately — there

@@ -424,3 +424,113 @@ func TestClearFromCallback(t *testing.T) {
 		t.Fatal("queue not empty after in-callback Clear")
 	}
 }
+
+// PeripheralPending must equal the number of live peripheral handles under
+// any interleaving of scheduling, cancelling, dispatching and clearing —
+// including callbacks that schedule into the slot their own dispatch just
+// freed.
+func TestPeripheralPendingProperty(t *testing.T) {
+	type handle struct {
+		e          Event
+		peripheral bool
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 50; trial++ {
+		s := NewScheduler()
+		var held []handle
+		var schedule func(peripheral bool)
+		schedule = func(peripheral bool) {
+			d := Duration(rng.Intn(50)) * Nanosecond
+			fn := func() {
+				// Half the callbacks schedule a follow-up, which lands in
+				// the slot this dispatch freed.
+				if rng.Intn(2) == 0 {
+					schedule(rng.Intn(2) == 0)
+				}
+			}
+			var e Event
+			switch {
+			case peripheral:
+				e = s.AfterPeripheral(d, "periph", fn)
+			case rng.Intn(2) == 0:
+				e = s.At(s.Now().Add(d), "plain", fn)
+			default:
+				e = s.After(d, "plain", fn)
+			}
+			held = append(held, handle{e, peripheral})
+		}
+		for op := 0; op < 300; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				schedule(rng.Intn(2) == 0)
+			case r < 6:
+				if len(held) > 0 {
+					s.Cancel(held[rng.Intn(len(held))].e)
+				}
+			case r < 8:
+				s.Step()
+			case r < 9:
+				s.RunUntil(s.Now().Add(Duration(rng.Intn(20)) * Nanosecond))
+			default:
+				if rng.Intn(4) == 0 {
+					s.Clear()
+				}
+			}
+			live, livePeriph := 0, 0
+			for _, h := range held {
+				if h.e.Pending() {
+					live++
+					if h.peripheral {
+						livePeriph++
+					}
+				}
+			}
+			if s.Pending() != live {
+				t.Fatalf("trial %d op %d: Pending = %d, want %d live handles", trial, op, s.Pending(), live)
+			}
+			if got := s.PeripheralPending(); got != livePeriph {
+				t.Fatalf("trial %d op %d: PeripheralPending = %d, want %d", trial, op, got, livePeriph)
+			}
+		}
+	}
+}
+
+// A slot freed by a peripheral event — fired, cancelled or cleared — and
+// then recycled for a plain event must not carry the peripheral flag over.
+func TestPeripheralFlagNotInheritedByRecycledSlot(t *testing.T) {
+	for _, tc := range []struct {
+		how     string
+		release func(s *Scheduler, e Event)
+	}{
+		{"fired", func(s *Scheduler, _ Event) { s.Step() }},
+		{"cancelled", func(s *Scheduler, e Event) { s.Cancel(e) }},
+		{"cleared", func(s *Scheduler, _ Event) { s.Clear() }},
+	} {
+		how, release := tc.how, tc.release
+		s := NewScheduler()
+		old := s.AfterPeripheral(Nanosecond, "periph", func() {})
+		if s.PeripheralPending() != 1 {
+			t.Fatalf("%s: PeripheralPending = %d after AfterPeripheral, want 1", how, s.PeripheralPending())
+		}
+		release(s, old)
+		if s.PeripheralPending() != 0 {
+			t.Fatalf("%s: PeripheralPending = %d after release, want 0", how, s.PeripheralPending())
+		}
+		fresh := s.At(s.Now().Add(Nanosecond), "plain", func() {})
+		if fresh.slot != old.slot {
+			t.Fatalf("%s: plain event took slot %d, want the recycled slot %d", how, fresh.slot, old.slot)
+		}
+		if s.PeripheralPending() != 0 || s.Pending() != 1 {
+			t.Fatalf("%s: recycled plain event counted as peripheral (pending %d, peripheral %d)",
+				how, s.Pending(), s.PeripheralPending())
+		}
+		s.Cancel(old) // stale handle: must not touch the new occupant or the count
+		if !fresh.Pending() || s.PeripheralPending() != 0 {
+			t.Fatalf("%s: stale Cancel disturbed the recycled slot", how)
+		}
+		s.Run() // freeing the plain occupant must not uncount a peripheral
+		if s.PeripheralPending() != 0 {
+			t.Fatalf("%s: PeripheralPending = %d after the recycled plain event fired", how, s.PeripheralPending())
+		}
+	}
+}
