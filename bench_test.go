@@ -164,6 +164,28 @@ func BenchmarkFig6aSweepWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkFig6aSweepColdStore is the sweep as a first `-memocache rw`
+// run pays for it: every iteration starts on a fresh, empty store, so the
+// only sharing is what the iteration's own platforms publish into the
+// store's bundles (cycle records and MEE op records).
+func BenchmarkFig6aSweepColdStore(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		freshColdStore(b)
+		if _, err := Fig6a(DefaultSweep()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// freshColdStore installs a fresh, empty RW store with cold in-process
+// caches for the next iteration, off the timer.
+func freshColdStore(b *testing.B) {
+	b.StopTimer()
+	withWarmMemoStore(b)
+	b.StartTimer()
+}
+
 func BenchmarkFig6b(b *testing.B) {
 	b.ReportAllocs()
 	var saving1GHz float64
@@ -312,6 +334,20 @@ func BenchmarkWakeLatency(b *testing.B) {
 		deltaUS = r.DeltaMean.Microseconds()
 	}
 	b.ReportMetric(deltaUS, "exit_delta_us")
+}
+
+// BenchmarkWakeLatencyColdStore is WakeLatency on a fresh, empty store per
+// iteration: its one-cycle samples share MEE op records through the
+// store's bundle for their config, the path a cold `-exp all -memocache rw`
+// pass takes.
+func BenchmarkWakeLatencyColdStore(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		freshColdStore(b)
+		if _, err := WakeLatency(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkTDPSensitivity(b *testing.B) {

@@ -27,8 +27,9 @@ func renderWithMemoCache(t *testing.T, mode, dir string) []byte {
 // TestExpAllByteIdenticalAcrossMemoCache is the tentpole acceptance
 // criterion: `-exp all` renders byte-identically with the memo store
 // off, populating (rw cold), warm from disk (rw), read-only, verifying
-// (every loaded memo re-simulated and diffed), and after the cache
-// directory is deleted out from under a configured store.
+// (every loaded memo re-simulated and diffed), populating under
+// -fastforward=verify, and after the cache directory is deleted out
+// from under a configured store.
 func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full experiment renders in -short mode")
@@ -77,6 +78,15 @@ func TestExpAllByteIdenticalAcrossMemoCache(t *testing.T) {
 	}
 
 	compare("verify", renderWithMemoCache(t, "verify", dir))
+
+	// -fastforward=verify over a cold rw store: platforms of one config
+	// share records only through a store's bundles, so this is the run in
+	// which fresh platforms adopt each other's MEE op records — and every
+	// adopted record is diffed against the op it stands for.
+	if err := odrips.SetupMemoCache("rw", t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	compare("rw (cold) at -fastforward=verify", renderAllExperiments(t, odrips.FFVerify))
 
 	// Delete the cache out from under a configured rw store: every load
 	// misses, everything recomputes, output is still identical.

@@ -13,8 +13,9 @@
 //     stripped.
 //
 // The fast-forward metamorphic test additionally attaches a NIC to some
-// cases (WithNIC), so faulted, device-driven runs are compared across
-// every -fastforward mode.
+// cases (WithNIC), and starts some on a memo plane that already holds
+// their class's records (Case.Plane), so faulted, device-driven and
+// record-adopting runs are compared across every -fastforward mode.
 //
 // A failing case shrinks to a minimal fault plan before being reported, so
 // a reproducer is one short -faults string plus the logged seed.
@@ -41,6 +42,9 @@ type Case struct {
 	// NIC, when set, attaches a NIC whose coalesced RX wakes race the
 	// workload's own wakes (a device-driven run).
 	NIC *device.NICConfig
+	// Plane, when set, is the memo plane the platform attaches to, so
+	// the run adopts whatever records earlier runs left in its class.
+	Plane *platform.MemoPlane
 }
 
 // String renders the case compactly for failure reports.
@@ -49,6 +53,9 @@ func (c Case) String() string {
 		c.Seed, c.Config.Techniques, c.Config.CtxInEMRAM, len(c.Cycles), c.Plan.String())
 	if c.NIC != nil {
 		s += fmt.Sprintf(" nic=%gKB/s,%dB,seed=%d", c.NIC.RateKBps, c.NIC.BufferBytes, c.NIC.Seed)
+	}
+	if c.Plane != nil {
+		s += " plane"
 	}
 	return s
 }
@@ -147,13 +154,14 @@ func RunBare(c Case) (Outcome, error) {
 	return out, err
 }
 
-// run builds the case's platform (attaching its NIC, if any), installs
-// plan unless it is nil, and runs the workload.
+// run builds the case's platform (attaching its plane and NIC, if any),
+// installs plan unless it is nil, and runs the workload.
 func run(c Case, plan *faults.Plan, mode platform.FFMode) (Outcome, platform.FFStats, error) {
 	p, err := platform.New(c.Config)
 	if err != nil {
 		return Outcome{}, platform.FFStats{}, err
 	}
+	c.Plane.Attach(p)
 	if err := p.SetFastForward(mode); err != nil {
 		return Outcome{}, platform.FFStats{}, err
 	}

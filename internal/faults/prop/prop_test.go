@@ -107,16 +107,28 @@ func TestShrinkFindsMinimalPlan(t *testing.T) {
 // certificate for the case). Every other case is device-driven: a NIC's
 // peripheral events stay queued, so only MEE op replay can engage, and
 // only once the fault plane is clean — a run that never reached one of
-// its injections must not have replayed a single op.
+// its injections must not have replayed a single op. Every third case
+// starts on a memo plane class that a fault-free run of another seed has
+// already filled, so fault plans and NIC traffic meet adopted MEE op
+// records from the very first save.
 func TestFastForwardMetamorphic(t *testing.T) {
 	rng := rand.New(rand.NewSource(*propSeed + 3))
 	nicRng := rand.New(rand.NewSource(*propSeed + 4))
-	var nicCases, nicReplayed int
+	var nicCases, nicReplayed, sharedCases, sharedReplayed int
 	for i := 0; i < 30; i++ {
 		c := Generate(rng)
 		if i%2 == 1 {
 			c = WithNIC(c, nicRng)
 			nicCases++
+		}
+		if i%3 == 2 {
+			c.Plane = platform.NewMemoPlane(nil, 0)
+			seeder := Case{Config: c.Config, Cycles: c.Cycles, Plane: c.Plane}
+			seeder.Config.Seed++
+			if _, _, err := RunMode(seeder, faults.Plan{}, platform.FFOn); err != nil {
+				t.Fatalf("case %d (%s) seeding run: %v", i, c, err)
+			}
+			sharedCases++
 		}
 		off, _, err := RunMode(c, c.Plan, platform.FFOff)
 		if err != nil {
@@ -147,11 +159,18 @@ func TestFastForwardMetamorphic(t *testing.T) {
 					nicReplayed++
 				}
 			}
+			if c.Plane != nil && stats.MEEOpsReplayed > 0 {
+				sharedReplayed++
+			}
 		}
 	}
-	t.Logf("%d device-driven cases, %d replayed MEE ops", nicCases, nicReplayed)
+	t.Logf("%d device-driven cases, %d replayed MEE ops; %d shared-plane cases, %d replayed MEE ops",
+		nicCases, nicReplayed, sharedCases, sharedReplayed)
 	if nicReplayed == 0 {
 		t.Error("no device-driven case exercised MEE op replay")
+	}
+	if sharedReplayed == 0 {
+		t.Error("no shared-plane case exercised MEE op replay")
 	}
 }
 

@@ -21,7 +21,11 @@ import (
 //     period is recorded, later saves/restores advance the counters
 //     arithmetically and skip the crypto and DRAM traffic
 //     (mee.OpRecord/ReplayOp), with ReplayMaterialize/ReplayWarm
-//     rebuilding the canonical bytes before any real engine op.
+//     rebuilding the canonical bytes before any real engine op. Three ops
+//     are recorded: a new engine's first save (the fresh save: root 0,
+//     region just formatted), the canonical save from the post-restore
+//     state, and the fresh-import restore. A replayed fresh save leaves
+//     root = DataBlocks, the k = 1 state ReplayMaterialize rebuilds.
 //
 //   - Cycle replay: when the full behavioral fingerprint of the platform
 //     at a cycle boundary recurs together with the same workload.Cycle
@@ -45,6 +49,23 @@ import (
 //
 // Every replayed quantity is integer/fixed-point exact, so results are
 // byte-identical to full simulation.
+//
+// Op records are shared across platforms on the ffBundle both attach
+// paths hand out: a platform adopts the bundle's record the first time it
+// needs one and publishes its own the first time it records one (first
+// publisher wins), so a fresh platform of a seen config replays even its
+// first save. Sharing is sound because an op's record depends only on
+// what the engine walks, never on the bytes: exact-Config bundles hold
+// identically built platforms, and the seed a plane class zeroes moves
+// only the context bytes and the key, while traffic, and so latency, is a
+// function of the region's size. -fastforward=verify diffs every real op
+// against the record, adopted or not. The records stay in-process; the
+// bundle codec does not carry them.
+//
+// Mem() hands out the DRAM module, through which a caller may read or
+// tamper with the protected region at any time. It therefore realizes any
+// virtual MEE state first and latches ffState.memExposed, after which the
+// platform neither replays an op or cycle nor adopts a record.
 
 // FFMode selects the fast-forward engine's behavior.
 type FFMode int32
@@ -136,15 +157,16 @@ type ffState struct {
 	// MEE op memo. meePrimed marks the live engine as being in the
 	// canonical post-import+restore state (the state every recorded save
 	// starts from); meeVirtual marks DRAM bytes and the metadata cache
-	// as stale because ops were replayed over them.
-	meePrimed   bool
-	meeVirtual  bool
-	haveSave    bool
-	haveRestore bool
-	saveLat     sim.Duration
-	restoreLat  sim.Duration
-	saveOp      mee.OpRecord
-	restoreOp   mee.OpRecord
+	// as stale because ops were replayed over them. ops holds this
+	// platform's records, local or adopted from the shared bundle.
+	meePrimed  bool
+	meeVirtual bool
+	ops        [ffNumOps]ffOpRec
+
+	// memExposed latches once Mem() has handed out the DRAM module: the
+	// caller may observe or change the protected region at any time, so
+	// no MEE op or cycle on this platform replays or adopts again.
+	memExposed bool
 
 	// Cycle memo (fingerprint keyed), populated lazily, plus reusable
 	// scratch for the fingerprint serialization and scaled replay deltas.
@@ -199,9 +221,64 @@ func (p *Platform) ffFaultsClean() bool {
 // foreign one (an externally scheduled mutation, an analyzer ticker)
 // could read or write the context region mid-cycle, so such cycles run
 // their ops in full. Whole-cycle replay keeps the stricter empty-queue
-// gate of ffCycleEligible.
+// gate of ffCycleEligible. A platform whose DRAM was handed out through
+// Mem() never memoizes again.
 func (p *Platform) ffLatchCycle() {
-	p.ff.cycleOK = p.ff.mode != FFOff && p.sched.Pending() == p.sched.PeripheralPending() && p.ffFaultsClean()
+	p.ff.cycleOK = p.ff.mode != FFOff && !p.ff.memExposed &&
+		p.sched.Pending() == p.sched.PeripheralPending() && p.ffFaultsClean()
+}
+
+// ffOpKind names one of the three MEE ops the memo records.
+type ffOpKind int
+
+const (
+	// ffFreshSave is the first save of a newly built engine: root 0,
+	// region just formatted, cache as mee.New left it.
+	ffFreshSave ffOpKind = iota
+	// ffSave is a canonical save from the post-restore state.
+	ffSave
+	// ffRestore is a fresh-import sequential restore of a canonical region.
+	ffRestore
+	ffNumOps
+)
+
+func (k ffOpKind) String() string {
+	return [ffNumOps]string{"fresh save", "save", "restore"}[k]
+}
+
+// ffOpRec is one recorded MEE op and the latency it charged.
+type ffOpRec struct {
+	op  mee.OpRecord
+	lat sim.Duration
+	ok  bool
+}
+
+// ffOp returns this platform's record of kind k, adopting the shared
+// bundle's the first time the platform has none of its own.
+func (p *Platform) ffOp(k ffOpKind) ffOpRec {
+	ff := &p.ff
+	if !ff.ops[k].ok && ff.persist != nil {
+		ff.ops[k] = ff.persist.op(k)
+	}
+	return ff.ops[k]
+}
+
+// ffNoteOp takes a canonical op that ran in full: the first one of its
+// kind becomes the record (published to the shared bundle), later ones
+// are diffed against it under -fastforward=verify.
+func (p *Platform) ffNoteOp(k ffOpKind, op mee.OpRecord, lat sim.Duration) error {
+	ff := &p.ff
+	rec := p.ffOp(k)
+	if !rec.ok {
+		ff.ops[k] = ffOpRec{op: op, lat: lat, ok: true}
+		ff.persist.publishOp(k, ff.ops[k])
+		return nil
+	}
+	if ff.mode == FFVerify && (op != rec.op || lat != rec.lat) {
+		return fmt.Errorf("fastforward verify: %v diverged from memo (lat %v vs %v, op %+v vs %+v)",
+			k, lat, rec.lat, op, rec.op)
+	}
+	return nil
 }
 
 // ffRealize rebuilds canonical MEE state before a real engine operation:
@@ -227,24 +304,30 @@ func (p *Platform) ffRealize() error {
 }
 
 // ffSaveCtxDRAM runs — or replays — the MEE context save, returning its
-// latency. Only canonical saves (from the primed post-restore state, in a
-// memo-eligible cycle) are recorded or compared.
+// latency. Only a fresh engine's first save and canonical saves (from the
+// primed post-restore state), in a memo-eligible cycle, are recorded or
+// compared.
 func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 	ff := &p.ff
-	if ff.mode == FFOn && ff.cycleOK && ff.meePrimed && ff.haveSave {
-		p.eng.ReplayOp(ff.saveOp)
-		ff.meePrimed = false
-		ff.meeVirtual = true
-		ff.stats.MEEOpsReplayed++
-		return ff.saveLat, nil
+	kind, memo := ffSave, ff.cycleOK && ff.meePrimed
+	if p.eng.RootCounter() == 0 {
+		kind, memo = ffFreshSave, ff.cycleOK
+	}
+	if memo && ff.mode == FFOn {
+		if rec := p.ffOp(kind); rec.ok {
+			p.eng.ReplayOp(rec.op)
+			ff.meePrimed = false
+			ff.meeVirtual = true
+			ff.stats.MEEOpsReplayed++
+			return rec.lat, nil
+		}
 	}
 	if err := p.ffRealize(); err != nil {
 		return 0, err
 	}
-	canonical := ff.cycleOK && ff.meePrimed && ff.mode != FFOff
 	ff.meePrimed = false
 	var snap mee.OpCapture
-	if canonical {
+	if memo {
 		snap = p.eng.CaptureOp()
 	}
 	tgt := &pmu.DRAMTarget{Engine: p.eng}
@@ -252,13 +335,9 @@ func (p *Platform) ffSaveCtxDRAM() (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if canonical {
-		op := p.eng.DeltaSince(snap)
-		if !ff.haveSave {
-			ff.saveOp, ff.saveLat, ff.haveSave = op, lat, true
-		} else if ff.mode == FFVerify && (op != ff.saveOp || lat != ff.saveLat) {
-			return 0, fmt.Errorf("fastforward verify: save diverged from memo (lat %v vs %v, op %+v vs %+v)",
-				lat, ff.saveLat, op, ff.saveOp)
+	if memo {
+		if err := p.ffNoteOp(kind, p.eng.DeltaSince(snap), lat); err != nil {
+			return 0, err
 		}
 	}
 	return lat, nil

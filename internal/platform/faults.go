@@ -401,25 +401,28 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 			next()
 		})
 	}
-	if attempt == 1 && ff.mode == FFOn && ff.cycleOK && ff.haveRestore {
-		// A steady-state restore is a fresh-import engine sequentially
-		// reading the canonical post-save region: its traffic, latency,
-		// and verification outcome are the memoized ones. The cache stays
-		// cold-stale; ffRealize rebuilds it before the next real op.
-		p.eng.ReplayOp(ff.restoreOp)
-		ff.meePrimed = true
-		ff.meeVirtual = true
-		ff.stats.MEEOpsReplayed++
-		done(ff.restoreLat)
-		return
+	memo := attempt == 1 && ff.cycleOK
+	if memo && ff.mode == FFOn {
+		if rec := p.ffOp(ffRestore); rec.ok {
+			// A steady-state restore is a fresh-import engine sequentially
+			// reading the canonical post-save region: its traffic, latency,
+			// and verification outcome are the memoized ones. The cache
+			// stays cold-stale; ffRealize rebuilds it before the next real
+			// op.
+			p.eng.ReplayOp(rec.op)
+			ff.meePrimed = true
+			ff.meeVirtual = true
+			ff.stats.MEEOpsReplayed++
+			done(rec.lat)
+			return
+		}
 	}
 	if err := p.ffRealize(); err != nil {
 		p.fail("platform: context restore: %v", err)
 		return
 	}
-	canonical := attempt == 1 && ff.mode != FFOff && ff.cycleOK
 	var snap mee.OpCapture
-	if canonical {
+	if memo {
 		snap = p.eng.CaptureOp()
 	}
 	tgt := &pmu.DRAMTarget{Engine: p.eng}
@@ -430,13 +433,9 @@ func (p *Platform) restoreCtxDRAM(attempt int, next func()) {
 	}
 	forced := err == nil && p.takeMEEForce()
 	if err == nil && !forced {
-		if canonical {
-			op := p.eng.DeltaSince(snap)
-			if !ff.haveRestore {
-				ff.restoreOp, ff.restoreLat, ff.haveRestore = op, lat, true
-			} else if ff.mode == FFVerify && (op != ff.restoreOp || lat != ff.restoreLat) {
-				p.fail("platform: fastforward verify: restore diverged from memo (lat %v vs %v, op %+v vs %+v)",
-					lat, ff.restoreLat, op, ff.restoreOp)
+		if memo {
+			if err := p.ffNoteOp(ffRestore, p.eng.DeltaSince(snap), lat); err != nil {
+				p.fail("platform: %v", err)
 				return
 			}
 			// The engine now sits in the canonical post-restore state

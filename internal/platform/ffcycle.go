@@ -155,9 +155,9 @@ type cycleRecording struct {
 // is in a state where a cycle may be recorded or replayed: quiescent,
 // healthy, with no flow plumbing in flight and no trace hook observing
 // the timer protocol (a Trace callback sees per-edge events that a replay
-// would skip).
+// would skip), and no DRAM handed out through Mem().
 func (p *Platform) ffCycleEligible() bool {
-	if p.ff.mode == FFOff || p.sched.Pending() != 0 || !p.ffFaultsClean() {
+	if p.ff.mode == FFOff || p.ff.memExposed || p.sched.Pending() != 0 || !p.ffFaultsClean() {
 		return false
 	}
 	if p.state != power.Active || p.inFlow || p.err != nil {

@@ -169,12 +169,8 @@ var ffExcluded = map[string]string{
 	"platform.ffState.cycleOK":     "latched eligibility, recomputed every boundary",
 	"platform.ffState.meePrimed":   "output-invariant: only selects op replay vs. real execution, which match by the Layer-1 contract",
 	"platform.ffState.meeVirtual":  "output-invariant: replay conservatively marks the engine virtual, forcing materialization before any real op",
-	"platform.ffState.haveSave":    "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.haveRestore": "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.saveLat":     "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.restoreLat":  "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.saveOp":      "Layer-1 memo bookkeeping, output-invariant",
-	"platform.ffState.restoreOp":   "Layer-1 memo bookkeeping, output-invariant",
+	"platform.ffState.ops":         "Layer-1 memo bookkeeping (local or adopted from the shared bundle), output-invariant; verify diffs every real op against it",
+	"platform.ffState.memExposed":  "latched by Mem(): only turns replay and adoption off, so every later op and cycle runs in full",
 	"platform.ffState.records":     "the memo itself",
 	"platform.ffState.rec":         "in-progress recording bookkeeping",
 	"platform.ffState.store":       "persistent memo plumbing; loaded records replay only when the live fingerprint recurs",

@@ -56,7 +56,7 @@ const ffBundleVersion = 1
 const ffBundleSchemaHash = "e402e53416a3e4030e46a2b0cbaae17f6a97a1f3a5632e294e16b34043bda70a"
 
 // ffBundle is the in-process face of one persisted bundle. Its mutex
-// guards records/fromDisk/dirty; the record values themselves are
+// guards records/fromDisk/dirty/ops; the record values themselves are
 // immutable once published, so readers may hold pointers lock-free.
 type ffBundle struct {
 	key string
@@ -66,6 +66,31 @@ type ffBundle struct {
 	records  map[ffKey]*cycleRecord
 	fromDisk map[ffKey]bool
 	dirty    bool
+
+	// ops are the class's MEE op records (fastforward.go), first
+	// publisher wins. They stay in-process: the codec never writes them,
+	// and publishing one does not make the bundle dirty.
+	ops [ffNumOps]ffOpRec
+}
+
+// op returns the bundle's record of kind k (ok false if none yet).
+func (b *ffBundle) op(k ffOpKind) ffOpRec {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ops[k]
+}
+
+// publishOp offers a platform's first record of kind k to the bundle; a
+// nil bundle (no store or plane attached) keeps it local.
+func (b *ffBundle) publishOp(k ffOpKind, r ffOpRec) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.ops[k].ok {
+		b.ops[k] = r
+	}
 }
 
 // ffBundles owns the cross-platform bundle cache for one store. It is

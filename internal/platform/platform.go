@@ -483,8 +483,18 @@ func (p *Platform) Meter() *power.Meter { return p.meter }
 // Hub exposes the chipset wake hub.
 func (p *Platform) Hub() *chipset.Hub { return p.hub }
 
-// Mem exposes the memory module.
-func (p *Platform) Mem() *dram.Module { return p.mem }
+// Mem exposes the memory module. The caller may read or change the
+// protected context region from then on, so the call first rebuilds the
+// real DRAM bytes of any replayed MEE op and then turns the fast-forward
+// memo off for good on this platform (ffState.memExposed): every later
+// op and cycle runs in full and sees exactly what the caller left.
+func (p *Platform) Mem() *dram.Module {
+	if err := p.ffRealize(); err != nil {
+		p.fail("platform: materialize before DRAM access: %v", err)
+	}
+	p.ff.memExposed = true
+	return p.mem
+}
 
 // CtxRegion returns the SGX-protected DRAM region holding the context
 // (zero Range unless CtxSGXDRAM is enabled).
