@@ -3,7 +3,7 @@ PKGS     := ./...
 STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 FUZZTIME ?= 60s
 
-.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm memo-compact benchdiff profile profile-diff clean
+.PHONY: all build test vet lint lint-fixtures race verify fleet-smoke server-smoke fuzz bench bench-smoke bench-sweep bench-baseline-1x bench-gate bench-warm memo-compact benchdiff profile profile-cold profile-diff clean
 
 all: build test
 
@@ -185,6 +185,17 @@ PROF_PREFIX ?=
 profile:
 	$(GO) run ./cmd/odrips-sim -config odrips -cycles 720 -fastforward $(FF) -cpuprofile $(PROF_PREFIX)cpu.pprof -memprofile $(PROF_PREFIX)mem.pprof > /dev/null
 	@echo wrote $(PROF_PREFIX)cpu.pprof $(PROF_PREFIX)mem.pprof
+
+# CPU and allocation profiles of a cold paper suite: `odrips-bench -exp
+# all -sweep fast` over a fresh, empty persistent memo store, i.e. what a
+# first reproduction pays (platform construction, store writes) rather
+# than the steady-state standby loop `make profile` covers. The store is
+# a temp dir removed afterwards; PROF_PREFIX names the artifacts as above.
+profile-cold:
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/odrips-bench -exp all -sweep fast -memocache rw -memocachedir $$dir -cpuprofile $(PROF_PREFIX)cold_cpu.pprof -memprofile $(PROF_PREFIX)cold_mem.pprof > /dev/null; \
+	status=$$?; rm -rf $$dir; exit $$status
+	@echo wrote $(PROF_PREFIX)cold_cpu.pprof $(PROF_PREFIX)cold_mem.pprof
 
 # Differential profile of the fast-forward engine itself: record the same
 # run with the engine off and on, then print the delta (-diff_base), i.e.

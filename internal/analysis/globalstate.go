@@ -14,7 +14,9 @@ import (
 //
 //   - its type contains a sync primitive (Mutex, WaitGroup, Once, Map,
 //     ...), a sync/atomic type, or a channel — mutable-by-design process
-//     state, however it is accessed — or
+//     state, however it is accessed; a pointer counts when its pointee
+//     does, so a var holding a lock-guarded cache (`= lru.New(...)`) is
+//     flagged like the cache itself would be — or
 //   - any function in the package assigns to it (directly or through an
 //     index/field/dereference chain), i.e. it is demonstrably mutated at
 //     runtime.
@@ -194,9 +196,11 @@ func processStateIn1(t types.Type, seen map[types.Type]bool) string {
 	case *types.Array:
 		return processStateIn1(t.Elem(), seen)
 	case *types.Pointer:
-		// A pointer-typed var itself is only mutable if reassigned (the
-		// write check) — the pointee is the pointee's owner's problem —
-		// but atomic.Pointer is caught above as a named atomic type.
+		// A package-level pointer to lock-guarded state is that state,
+		// shared process-wide.
+		if kind := processStateIn1(t.Elem(), seen); kind != "" {
+			return "*" + kind
+		}
 	}
 	return ""
 }

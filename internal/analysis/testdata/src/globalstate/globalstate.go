@@ -19,6 +19,14 @@ var pool struct { // want globalstate
 	items []string
 }
 
+// Bad: a pointer to lock-guarded state (a package-level cache).
+var table = &guarded{} // want globalstate
+
+type guarded struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
 // Good: read-only seeded values, never written after initialization.
 var names = [...]string{"alpha", "beta"}
 var limit = 64

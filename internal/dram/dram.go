@@ -261,16 +261,21 @@ func (m *Module) checkAccess(addr uint64, n int) error {
 // Write stores data (block-aligned) at addr. The bytes are copied: the
 // module never retains a reference to data, so callers may reuse their
 // buffer immediately. Blocks that were written before are updated in place,
-// so steady-state rewrites allocate nothing.
+// so steady-state rewrites allocate nothing. Blocks a multi-block write
+// materializes share one allocation.
 func (m *Module) Write(addr uint64, data []byte) error {
 	if err := m.checkAccess(addr, len(data)); err != nil {
 		return err
 	}
+	var slab []byte
 	for off := 0; off < len(data); off += BlockSize {
 		a := addr + uint64(off)
 		blk, ok := m.blocks[a]
 		if !ok {
-			blk = make([]byte, BlockSize)
+			if len(slab) == 0 {
+				slab = make([]byte, len(data)-off)
+			}
+			blk, slab = slab[:BlockSize:BlockSize], slab[BlockSize:]
 			m.blocks[a] = blk
 		}
 		copy(blk, data[off:off+BlockSize])

@@ -85,7 +85,6 @@ type Engine struct {
 	// Reusable crypto state and engine-owned scratch buffers. Together
 	// they make the steady-state block datapath allocation-free.
 	mac     macCtx
-	u64Buf  [8]byte // MAC length/index staging
 	ctrBuf  [aes.BlockSize]byte
 	ksBuf   [aes.BlockSize]byte
 	ctBuf   [BlockSize]byte // ciphertext staging (write + read paths)
@@ -109,6 +108,23 @@ type Engine struct {
 // metadata (all versions zero, counters zero, MACs valid). cacheLines sizes
 // the MEE metadata cache (32 lines in the Skylake-like configuration).
 func New(mem *dram.Module, base uint64, dataBlocks int, key [32]byte, cacheLines int) (*Engine, error) {
+	img, err := Format(base, dataBlocks, key)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromImage(mem, img, base, dataBlocks, key, cacheLines)
+}
+
+// NewFromImage creates an engine over a fresh protected region whose
+// metadata it writes from img, which Format must have built for exactly
+// this key, base and block count; any other image is refused. The engine
+// and memory afterwards match what New leaves, traffic counters included,
+// so callers that build many engines over one key and layout format once
+// and share the image.
+func NewFromImage(mem *dram.Module, img *Image, base uint64, dataBlocks int, key [32]byte, cacheLines int) (*Engine, error) {
+	if img.key != key || img.base != base || img.dataBlocks != dataBlocks {
+		return nil, fmt.Errorf("mee: metadata image formatted for another key or layout")
+	}
 	layout, err := PlanLayout(base, dataBlocks)
 	if err != nil {
 		return nil, err
@@ -117,9 +133,12 @@ func New(mem *dram.Module, base uint64, dataBlocks int, key [32]byte, cacheLines
 	if err != nil {
 		return nil, err
 	}
-	if err := e.format(); err != nil {
+	// Boot-time flow, not counted as save/restore traffic by callers that
+	// ResetStats afterwards.
+	if err := mem.Write(layout.l0Base, img.meta); err != nil {
 		return nil, err
 	}
+	e.stats.MetaWrites += uint64(len(img.meta) / BlockSize)
 	return e, nil
 }
 
@@ -137,8 +156,7 @@ func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCo
 	if err != nil {
 		return nil, err
 	}
-	var macKey [32]byte
-	macKey = sha256.Sum256(append([]byte("mee-mac-key"), key[:]...))
+	macKey := macKeyOf(key)
 	e := &Engine{
 		mem:         mem,
 		layout:      layout,
@@ -151,6 +169,11 @@ func build(mem *dram.Module, layout Layout, key [32]byte, cacheLines int, rootCo
 	}
 	e.mac.init(macKey[:])
 	return e, nil
+}
+
+// macKeyOf derives the metadata/data MAC key from the master key.
+func macKeyOf(key [32]byte) [32]byte {
+	return sha256.Sum256(append([]byte("mee-mac-key"), key[:]...))
 }
 
 // coldStart re-initializes the engine in place to the state build leaves
@@ -234,33 +257,27 @@ var (
 	metaTag = []byte("meta")
 )
 
-// macU64 streams a little-endian uint64 into the in-progress MAC.
-func (e *Engine) macU64(v uint64) {
-	binary.LittleEndian.PutUint64(e.u64Buf[:], v)
-	e.mac.write(e.u64Buf[:])
-}
-
-// macData authenticates a data block's ciphertext bound to its index and
+// data authenticates a data block's ciphertext bound to its index and
 // version.
-func (e *Engine) macData(ct []byte, blockIdx int, version uint64) [macSize]byte {
-	e.mac.begin()
-	e.mac.write(dataTag)
-	e.mac.write(ct)
-	e.macU64(uint64(blockIdx))
-	e.macU64(version)
-	return e.mac.finishTrunc()
+func (m *macCtx) data(ct []byte, blockIdx int, version uint64) [macSize]byte {
+	m.begin()
+	m.write(dataTag)
+	m.write(ct)
+	m.writeU64(uint64(blockIdx))
+	m.writeU64(version)
+	return m.finishTrunc()
 }
 
-// macMeta authenticates a metadata block's payload bound to its level,
+// meta authenticates a metadata block's payload bound to its level,
 // index, and the parent counter that provides freshness.
-func (e *Engine) macMeta(payload []byte, lvl, idx int, parentCtr uint64) [macSize]byte {
-	e.mac.begin()
-	e.mac.write(metaTag)
-	e.mac.write(payload)
-	e.macU64(uint64(lvl))
-	e.macU64(uint64(idx))
-	e.macU64(parentCtr)
-	return e.mac.finishTrunc()
+func (m *macCtx) meta(payload []byte, lvl, idx int, parentCtr uint64) [macSize]byte {
+	m.begin()
+	m.write(metaTag)
+	m.write(payload)
+	m.writeU64(uint64(lvl))
+	m.writeU64(uint64(idx))
+	m.writeU64(parentCtr)
+	return m.finishTrunc()
 }
 
 // ---- metadata block codecs ----
@@ -344,7 +361,7 @@ func (e *Engine) fetchMeta(lvl, idx int) (*cacheLine, error) {
 		return nil, err
 	}
 	e.stats.MetaReads++
-	want := e.macMeta(payloadOf(lvl, raw), lvl, idx, parentCtr)
+	want := e.mac.meta(payloadOf(lvl, raw), lvl, idx, parentCtr)
 	if subtle.ConstantTimeCompare(want[:], macOf(lvl, raw)) != 1 {
 		return nil, &IntegrityError{What: fmt.Sprintf("metadata MAC (level %d node %d)", lvl, idx), Addr: addr}
 	}
@@ -390,7 +407,7 @@ func (e *Engine) sealLine(ln *cacheLine) {
 	if ln.sealed {
 		return
 	}
-	mac := e.macMeta(payloadOf(ln.lvl, ln.data[:]), ln.lvl, ln.idx, ln.parentCtr)
+	mac := e.mac.meta(payloadOf(ln.lvl, ln.data[:]), ln.lvl, ln.idx, ln.parentCtr)
 	setMacOf(ln.lvl, ln.data[:], mac)
 	ln.sealed = true
 }
@@ -517,7 +534,7 @@ func (e *Engine) writeBlockFast(i, slot int, plaintext []byte) error {
 		return err
 	}
 	e.stats.DataWrites++
-	setL0Entry(l0.data[:], slot, version, e.macData(e.ctBuf[:], i, version))
+	setL0Entry(l0.data[:], slot, version, e.mac.data(e.ctBuf[:], i, version))
 	for p := 1; p < len(path); p++ {
 		child, node := &path[p-1], &path[p]
 		cslot := child.idx % nodeArity
@@ -560,7 +577,7 @@ func (e *Engine) WriteBlock(i int, plaintext []byte) error {
 		return err
 	}
 	e.stats.DataWrites++
-	setL0Entry(l0.data[:], slot, version, e.macData(e.ctBuf[:], i, version))
+	setL0Entry(l0.data[:], slot, version, e.mac.data(e.ctBuf[:], i, version))
 	// ...then bump one counter per level, leaving each child unsealed with
 	// its new covering counter recorded: the reseal is deferred until the
 	// line's bytes become observable (eviction or flush).
@@ -626,7 +643,7 @@ func (e *Engine) ReadBlockInto(i int, dst []byte) error {
 		return err
 	}
 	e.stats.DataReads++
-	got := e.macData(e.ctBuf[:], i, version)
+	got := e.mac.data(e.ctBuf[:], i, version)
 	if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
 		return &IntegrityError{What: fmt.Sprintf("data MAC (block %d)", i), Addr: e.layout.dataAddr(i)}
 	}
@@ -718,34 +735,4 @@ func (e *Engine) Flush() error {
 		e.stats.MetaWrites++
 		return nil
 	})
-}
-
-// format initializes all metadata blocks with zero versions/counters and
-// valid MACs, writing directly to DRAM (boot-time flow, not counted as
-// save/restore traffic by callers that ResetStats afterwards).
-func (e *Engine) format() error {
-	// Zero root.
-	e.rootCounter = 0
-	// Top-down so each level's MACs are keyed by the (zero) parent
-	// counters.
-	var zero [BlockSize]byte
-	writeLvl := func(lvl, count int) error {
-		for idx := 0; idx < count; idx++ {
-			data := zero
-			var parentCtr uint64 // all counters start at zero
-			mac := e.macMeta(payloadOf(lvl, data[:]), lvl, idx, parentCtr)
-			setMacOf(lvl, data[:], mac)
-			if err := e.mem.Write(e.metaAddr(lvl, idx), data[:]); err != nil {
-				return err
-			}
-			e.stats.MetaWrites++
-		}
-		return nil
-	}
-	for lvl := e.topLevel(); lvl >= 1; lvl-- {
-		if err := writeLvl(lvl, e.layout.LevelNodes[lvl-1]); err != nil {
-			return err
-		}
-	}
-	return writeLvl(0, e.layout.L0Blocks)
 }

@@ -84,9 +84,9 @@ func (e *Engine) ReplayAdvanceRoot(delta uint64) { e.rootCounter += delta }
 // is the periodic full-region sequential save, so after k saves (k =
 // rootCounter / DataBlocks) the canonical state is uniform: every data
 // block i holds AES-CTR(plaintext_i) under version k, every L0 entry is
-// (k, macData), every node counter is k x the data blocks beneath its
+// (k, data MAC), every node counter is k x the data blocks beneath its
 // child, every metadata MAC is sealed under its parent's canonical
-// counter, and the L0 pad bytes stay zero exactly as format left them.
+// counter, and the L0 pad bytes stay zero exactly as Format left them.
 // Building that directly costs one save's worth of crypto regardless of
 // how many saves were skipped. The traffic counters are untouched (they
 // were already advanced by ReplayOp) and the metadata cache is emptied —
@@ -118,7 +118,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 		if err := e.mem.Write(e.layout.dataAddr(i), e.ctBuf[:]); err != nil {
 			return err
 		}
-		macs[i] = e.macData(e.ctBuf[:], i, k)
+		macs[i] = e.mac.data(e.ctBuf[:], i, k)
 	}
 
 	// L0 blocks: entries under version k, sealed under the L1 counter
@@ -134,7 +134,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 			setL0Entry(data[:], slot, k, macs[b*entriesPerL0+slot])
 		}
 		under[b] = uint64(entries)
-		mac := e.macMeta(payloadOf(0, data[:]), 0, b, k*under[b])
+		mac := e.mac.meta(payloadOf(0, data[:]), 0, b, k*under[b])
 		setMacOf(0, data[:], mac)
 		if err := e.mem.Write(e.layout.l0Addr(b), data[:]); err != nil {
 			return err
@@ -157,7 +157,7 @@ func (e *Engine) ReplayMaterialize(image []byte) error {
 				sum += under[child]
 			}
 			next[j] = sum
-			mac := e.macMeta(payloadOf(lvl, data[:]), lvl, j, k*sum)
+			mac := e.mac.meta(payloadOf(lvl, data[:]), lvl, j, k*sum)
 			setMacOf(lvl, data[:], mac)
 			if err := e.mem.Write(e.layout.nodeAddr(lvl, j), data[:]); err != nil {
 				return err

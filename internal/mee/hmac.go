@@ -3,6 +3,7 @@ package mee
 import (
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"hash"
 )
 
@@ -27,6 +28,7 @@ type macCtx struct {
 	innerSeed, outerSeed []byte
 	ipad, opad           [sha256.BlockSize]byte
 	sum                  [sha256.Size]byte
+	u64                  [8]byte // length/index staging for writeU64
 }
 
 // init keys the context. Keys longer than the SHA-256 block size are
@@ -81,6 +83,12 @@ func (m *macCtx) begin() {
 
 // write streams message bytes into the MAC.
 func (m *macCtx) write(p []byte) { m.inner.Write(p) }
+
+// writeU64 streams a little-endian uint64 into the MAC.
+func (m *macCtx) writeU64(v uint64) {
+	binary.LittleEndian.PutUint64(m.u64[:], v)
+	m.write(m.u64[:])
+}
 
 // finish completes the HMAC and returns the full tag. The context is left
 // ready for the next begin.

@@ -233,7 +233,7 @@ type ffOpKind int
 
 const (
 	// ffFreshSave is the first save of a newly built engine: root 0,
-	// region just formatted, cache as mee.New left it.
+	// region just formatted, cache as mee.NewFromImage left it.
 	ffFreshSave ffOpKind = iota
 	// ffSave is a canonical save from the post-restore state.
 	ffSave

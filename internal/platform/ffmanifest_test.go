@@ -110,15 +110,13 @@ var ffExcluded = map[string]string{
 	"platform.Platform.cstates":         "immutable C-state table",
 	"platform.Platform.rr":              "immutable after lock at New (sgx range registers)",
 	"platform.Platform.ctxRegion":       "immutable protected-region bounds",
-	"platform.Platform.meeKey":          "immutable key material",
 	"platform.Platform.meeSpare":        "output-invariant: only selects re-import in place vs. a fresh build, which mee pins as indistinguishable; consumed by the restore, so nil at boundaries",
-	"platform.Platform.ctx":             "immutable architectural context (seed-derived at New)",
-	"platform.Platform.ctxImage":        "immutable serialized context bytes",
+	"platform.Platform.ctxImage":        "immutable serialized context bytes, shared read-only by every platform of the seed",
 	"platform.Platform.ctxHash":         "immutable digest of ctxImage",
-	"platform.Platform.saImage":         "immutable SA retention image",
-	"platform.Platform.cpImage":         "immutable compute retention image",
+	"platform.Platform.saImage":         "immutable SA retention image, shared read-only by every platform of the seed",
+	"platform.Platform.cpImage":         "immutable compute retention image, shared read-only by every platform of the seed",
 	"platform.Platform.mcCfg":           "immutable memory-controller config image",
-	"platform.Platform.pmuVec":          "immutable PMU vector image",
+	"platform.Platform.assets":          "immutable seed-derived images shared read-only by every platform of the seed; ctxImage, saImage and cpImage below are taken from it",
 	"platform.Platform.saBuf":           "dead: scratch, fully rewritten by the next restore before any read",
 	"platform.Platform.cpBuf":           "dead: scratch, fully rewritten by the next restore before any read",
 	"platform.Platform.restoreBuf":      "dead: scratch, fully rewritten by the next restore before any read",
@@ -249,7 +247,6 @@ var ffExcluded = map[string]string{
 	"mee.Engine.stats":       "diagnostics, not part of Result",
 	"mee.Engine.mac":         "dead: per-op scratch",
 	"mee.Engine.stateMac":    "keyed by the immutable master key; its digests are per-op scratch",
-	"mee.Engine.u64Buf":      "dead: per-op scratch",
 	"mee.Engine.ctrBuf":      "dead: per-op scratch",
 	"mee.Engine.ksBuf":       "dead: per-op scratch",
 	"mee.Engine.ctBuf":       "dead: per-op scratch",

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -142,9 +141,14 @@ func (p *Platform) mcConfig() []byte {
 	return b[:]
 }
 
-func (p *Platform) pmuVector() []byte {
-	v := sha256.Sum256([]byte(fmt.Sprintf("pmu-vector-%d", p.cfg.Seed)))
-	return v[:]
+// loadSRAMImages takes the seed's retention images and sizes their
+// restore buffers, once per platform.
+func (p *Platform) loadSRAMImages() {
+	if p.saImage == nil {
+		p.saImage, p.cpImage = p.assets.sramImages()
+		p.saBuf = make([]byte, len(p.saImage))
+		p.cpBuf = make([]byte, len(p.cpImage))
+	}
 }
 
 // ---- Entry flow (§2.2 baseline; §4–6 ODRIPS additions) ----
@@ -295,7 +299,7 @@ func (p *Platform) ctxSaveStep() step {
 			boot := ctxstore.BootImage{
 				MEEState:  p.eng.ExportState(),
 				MCConfig:  p.mcCfg,
-				PMUVector: p.pmuVec,
+				PMUVector: p.assets.pmuVec,
 			}
 			if err := p.bootFSM.Save(boot); err != nil {
 				p.fail("platform: boot image save: %v", err)
@@ -336,6 +340,7 @@ func (p *Platform) ctxSaveStep() step {
 		}}
 	default:
 		return step{name: "save-ctx-sram", run: func(next func()) {
+			p.loadSRAMImages()
 			saImg := p.saImage
 			cpImg := p.cpImage
 			saT := pmu.NewSRAMTarget(p.saSRAM)
@@ -595,10 +600,12 @@ func (p *Platform) ctxRestoreSteps() []step {
 			p.bootSRAM.SetState(sram.Active)
 			saT := pmu.NewSRAMTarget(p.saSRAM)
 			cpT := pmu.NewSRAMTarget(p.computeSRAM)
-			// The reference images were serialized once at New (the context
-			// is immutable), so verification is a straight byte compare
-			// into pooled buffers: equality to the canonical serialization
-			// implies the Deserialize/Merge round trip would succeed too.
+			// The reference images were serialized once per seed (the
+			// context is immutable), so verification is a straight byte
+			// compare into pooled buffers: equality to the canonical
+			// serialization implies the Deserialize/Merge round trip would
+			// succeed too.
+			p.loadSRAMImages()
 			if err := saT.RestoreInto(p.saBuf); err != nil {
 				p.fail("platform: SA context restore: %v", err)
 				return

@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 
 	"odrips/internal/aonio"
@@ -62,13 +60,9 @@ type Platform struct {
 	cstates     []pmu.CState
 	rr          *sgx.RangeRegisters
 	ctxRegion   sgx.Range
-	meeKey      [32]byte
 	eng         *mee.Engine
 	meeSpare    *mee.Engine // powered-down engine awaiting re-import (save → restore)
-	ctx         *ctxstore.Context
-	ctxImage    []byte
-	ctxHash     [32]byte
-	emram       []byte // ODRIPS-MRAM: on-chip non-volatile context store
+	emram       []byte      // ODRIPS-MRAM: on-chip non-volatile context store
 
 	// emramHash memoizes sha256(emram) for the boundary fingerprint;
 	// every emram write either installs the matching digest (the save
@@ -77,14 +71,19 @@ type Platform struct {
 	emramHash   [32]byte
 	emramHashOK bool
 
-	// Precomputed per-cycle constants and pooled restore buffers. The
-	// context is immutable after New, so the split images, boot config,
-	// and PMU vector never change; restores verify into fixed buffers so
-	// the steady-state cycle path does not allocate.
+	// The seed's shared read-only assets (assets.go) and the images this
+	// platform took from them: flows copy from the images and compare
+	// against them, never write them. The retention images and their
+	// restore buffers are fetched by the first SRAM save or restore,
+	// since only platforms that keep the context in the SRAMs, from the
+	// start or after degrading, use them. Restores verify into the per-platform
+	// buffers, so the steady-state cycle path does not allocate.
+	assets     *seedAssets
+	ctxImage   []byte
+	ctxHash    [32]byte
 	saImage    []byte
 	cpImage    []byte
 	mcCfg      []byte
-	pmuVec     []byte
 	saBuf      []byte
 	cpBuf      []byte
 	restoreBuf []byte
@@ -307,15 +306,12 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	// Processor context and, when configured, the protected DRAM region.
-	p.ctx = ctxstore.GenerateSkylake(cfg.Seed)
-	p.ctxImage = p.ctx.Serialize()
-	p.ctxHash = sha256.Sum256(p.ctxImage)
-	p.saImage = p.ctx.Subset(ctxstore.SASectionNames()).Serialize()
-	p.cpImage = p.ctx.Subset(ctxstore.ComputeSectionNames()).Serialize()
-	p.saBuf = make([]byte, len(p.saImage))
-	p.cpBuf = make([]byte, len(p.cpImage))
+	a := assetsFor(cfg.Seed)
+	p.assets = a
 	p.mcCfg = p.mcConfig()
-	p.pmuVec = p.pmuVector()
+	if cfg.Techniques.Has(CtxSGXDRAM) || cfg.CtxInEMRAM {
+		p.ctxImage, p.ctxHash = a.offChipImage()
+	}
 	if cfg.Techniques.Has(CtxSGXDRAM) {
 		var err error
 		p.rr, err = sgx.NewRangeRegisters(memCfg.CapacityBytes, 128<<20)
@@ -332,8 +328,11 @@ func New(cfg Config) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		seedKey(&p.meeKey, cfg.Seed)
-		p.eng, err = mee.New(p.mem, p.ctxRegion.Base, blocks, p.meeKey, mee.DefaultCacheLines)
+		img, err := a.meeImage(p.ctxRegion.Base, blocks)
+		if err != nil {
+			return nil, err
+		}
+		p.eng, err = mee.NewFromImage(p.mem, img, p.ctxRegion.Base, blocks, a.meeKey, mee.DefaultCacheLines)
 		if err != nil {
 			return nil, err
 		}
@@ -365,12 +364,6 @@ func New(cfg Config) (*Platform, error) {
 	p.applyPhase(phActive)
 	p.ffAttachPersist()
 	return p, nil
-}
-
-func seedKey(key *[32]byte, seed int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(seed))
-	*key = sha256.Sum256(append([]byte("odrips-mee-key"), b[:]...))
 }
 
 // deriveActiveDraws backs the big active draws out of the battery-level
